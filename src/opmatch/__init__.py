@@ -2,10 +2,10 @@
 
 Four engines find the positions where a pattern of distinct integers is
 order-isomorphic to a contiguous text window: a naive reference scan, a
-failure-link automaton, a fully expanded interval-transition automaton
-(eager or lazy), and an average-case sublinear backward-window engine.  A
-fifth searches many patterns at once.  All searches report instrumentation
-counters alongside their occurrence lists.
+failure-link automaton, a fully expanded interval-transition automaton,
+and an average-case sublinear backward-window engine.  A fifth searches
+many patterns at once.  All searches report instrumentation counters
+alongside their occurrence lists.
 """
 
 from .core import (DuplicateValue, EmptyInput, InputError, Occurrence,
@@ -16,13 +16,11 @@ from .core import (DuplicateValue, EmptyInput, InputError, Occurrence,
 from .predset import KeyAbsent, KeyOutOfUniverse, KeyPresent, PredSet
 from .mp_automaton import MpAutomaton, build_mp, mp_search
 from .forward_automaton import (ForwardAutomaton, IntervalTransition,
-                                build_forward, build_forward_lazy,
-                                forward_search)
+                                build_forward, forward_search)
 from .multi_ac import (AcAutomaton, AcNode, PatternSet, ac_search, build_ac,
                        make_pattern_set, normalize_set)
-from .sublinear import (FactorTree, FallbackRequired, WindowPlan,
-                        build_factor_tree, choose_b, search_or_fallback,
-                        sublinear_search)
+from .sublinear import (FactorTree, FallbackRequired, build_factor_tree,
+                        choose_b, search_or_fallback, sublinear_search)
 from .bench import (BenchConfig, BenchRecord, random_permutation, run_bench,
                     write_csv)
 
@@ -32,11 +30,10 @@ __all__ = [
     "InputError", "IntervalTransition", "KeyAbsent", "KeyOutOfUniverse",
     "KeyPresent", "MpAutomaton", "Occurrence", "Pattern",
     "PatternLongerThanText", "PatternSet", "PositionOutOfRange", "PredSet",
-    "RepPair", "SearchStats", "WindowPlan", "ac_search", "build_ac",
-    "build_factor_tree", "build_forward", "build_forward_lazy", "build_mp",
-    "check_extension", "choose_b", "forward_search", "is_order_isomorphic",
-    "make_pattern_set", "mp_search", "naive_search", "normalize_set",
-    "oi_border_table", "random_permutation", "rank_normalize", "rep_table",
-    "run_bench", "search_or_fallback", "sublinear_search", "validate_seq",
-    "write_csv",
+    "RepPair", "SearchStats", "ac_search", "build_ac", "build_factor_tree",
+    "build_forward", "build_mp", "check_extension", "choose_b",
+    "forward_search", "is_order_isomorphic", "make_pattern_set", "mp_search",
+    "naive_search", "normalize_set", "oi_border_table", "random_permutation",
+    "rank_normalize", "rep_table", "run_bench", "search_or_fallback",
+    "sublinear_search", "validate_seq", "write_csv",
 ]

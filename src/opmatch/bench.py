@@ -14,15 +14,13 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO
 
-from .core import SearchStats, naive_search, rep_table
+from .core import PatternLongerThanText, SearchStats, naive_search, rep_table
 from .forward_automaton import build_forward, forward_search
 from .mp_automaton import build_mp, mp_search
 from .multi_ac import ac_search, build_ac, make_pattern_set
 from .sublinear import search_or_fallback
 
 PRNG_NOTE = "mt19937(random.Random.getrandbits)+fisher-yates+rejection"
-
-ALGORITHMS = ("naive", "mp", "forward", "sublinear", "ac")
 
 CSV_HEADER = "algo,m,n,seed,occurrences,symbols_read,transitions,verifications,elapsed_ns"
 
@@ -59,7 +57,7 @@ class BenchConfig:
     pattern: Optional[tuple] = None  # fixed pattern instead of random ones
 
     def __post_init__(self):
-        if self.algo not in ALGORITHMS:
+        if self.algo not in ENGINES:
             raise ValueError(f"unknown algorithm {self.algo!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -88,20 +86,35 @@ class BenchRecord:
                 f"{self.elapsed_ns}")
 
 
-def _run_engine(algo: str, pattern, text):
-    if algo == "naive":
-        stats = SearchStats()
-        occ = naive_search(pattern, text, stats)
-        return occ, stats
-    if algo == "mp":
-        return mp_search(build_mp(pattern), text)
-    if algo == "forward":
-        return forward_search(build_forward(build_mp(pattern)), text)
-    if algo == "sublinear":
-        occ, stats, _ = search_or_fallback(pattern, text)
-        return occ, stats
-    occ, stats = ac_search(build_ac(make_pattern_set([pattern])), text)
+def _naive(pattern, text):
+    stats = SearchStats()
+    return naive_search(pattern, text, stats), stats
+
+
+def _sublinear(pattern, text):
+    occ, stats, _ = search_or_fallback(pattern, text)
     return occ, stats
+
+
+def _ac(pattern, text):
+    # ac_search alone accepts a text shorter than its patterns
+    if len(pattern) > len(text):
+        raise PatternLongerThanText(
+            f"pattern length {len(pattern)} exceeds text length {len(text)}")
+    return ac_search(build_ac(make_pattern_set([pattern])), text)
+
+
+# Every engine as (pattern, text) -> (occurrences, stats), building what it
+# needs from the pattern.  The bodies look the engine functions up by name
+# at call time, so wrappers installed on the module attributes see them.
+ENGINES = {
+    "naive": _naive,
+    "mp": lambda pattern, text: mp_search(build_mp(pattern), text),
+    "forward": lambda pattern, text: forward_search(
+        build_forward(build_mp(pattern)), text),
+    "sublinear": _sublinear,
+    "ac": _ac,
+}
 
 
 def run_bench(cfg: BenchConfig) -> list:
@@ -121,7 +134,7 @@ def run_bench(cfg: BenchConfig) -> list:
             pattern = rep_table(random_permutation(cfg.m, text_seed + 1))
         text = random_permutation(cfg.n, text_seed)
         t0 = time.perf_counter_ns()
-        occ, stats = _run_engine(cfg.algo, pattern, text)
+        occ, stats = ENGINES[cfg.algo](pattern, text)
         elapsed = time.perf_counter_ns() - t0
         records.append(BenchRecord(
             algo=cfg.algo,

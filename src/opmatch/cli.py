@@ -11,18 +11,14 @@ import sys
 from typing import Optional, Sequence
 
 from . import bench as bench_mod
-from .core import InputError, SearchStats, naive_search, rep_table, validate_seq
-from .forward_automaton import build_forward, build_forward_lazy, forward_search
-from .mp_automaton import build_mp, mp_search
+from .core import InputError, SearchStats, rep_table, validate_seq
 from .multi_ac import ac_search, build_ac, make_pattern_set
-from .sublinear import DEFAULT_B_FACTOR, search_or_fallback
+from .sublinear import choose_b
 
 EX_OK = 0
 EX_IOERR = 2
 EX_USAGE = 64
 EX_DATA = 65
-
-SEARCH_ALGOS = ("naive", "mp", "forward", "forward-lazy", "sublinear")
 
 
 def _read_tokens(path: str) -> list:
@@ -80,21 +76,10 @@ def cmd_gen(args) -> int:
 def cmd_search(args) -> int:
     pattern = rep_table(validate_seq(_read_tokens(args.pattern), require_nonempty=True))
     text = validate_seq(_read_tokens(args.text))
-    algo = args.algo
-    if algo == "naive":
-        stats = SearchStats()
-        occ = naive_search(pattern, text, stats)
-    elif algo == "mp":
-        occ, stats = mp_search(build_mp(pattern), text)
-    elif algo == "forward":
-        occ, stats = forward_search(build_forward(build_mp(pattern)), text)
-    elif algo == "forward-lazy":
-        occ, stats = forward_search(build_forward_lazy(build_mp(pattern)), text)
-    else:
-        occ, stats, fell_back = search_or_fallback(pattern, text, args.b_factor)
-        if fell_back and not args.quiet:
-            print("sublinear: pattern too short for backward-window search; "
-                  "falling back to mp", file=sys.stderr)
+    occ, stats = bench_mod.ENGINES[args.algo](pattern, text)
+    if args.algo == "sublinear" and choose_b(len(pattern)) is None and not args.quiet:
+        print("sublinear: pattern too short for backward-window search; "
+              "falling back to mp", file=sys.stderr)
     for o in occ:
         print(o.position)
     if args.stats:
@@ -148,13 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_search = sub.add_parser("search", help="search one pattern in a text")
-    p_search.add_argument("--algo", choices=SEARCH_ALGOS, default="mp")
+    p_search.add_argument("--algo", choices=bench_mod.ENGINES, default="mp")
     p_search.add_argument("--stats", action="store_true",
                           help="append a '# stats:' line")
     p_search.add_argument("--quiet", action="store_true",
                           help="suppress the sublinear fallback notice")
-    p_search.add_argument("--b-factor", type=float, default=DEFAULT_B_FACTOR,
-                          help="backward read length scale for --algo sublinear")
     p_search.add_argument("pattern")
     p_search.add_argument("text")
     p_search.set_defaults(func=cmd_search)
@@ -167,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_multi.set_defaults(func=cmd_multisearch)
 
     p_bench = sub.add_parser("bench", help="run timed trials, emit CSV")
-    p_bench.add_argument("--algo", choices=bench_mod.ALGORITHMS, required=True)
+    p_bench.add_argument("--algo", choices=bench_mod.ENGINES, required=True)
     p_bench.add_argument("--m", type=int, default=None)
     p_bench.add_argument("--pattern-file", default=None)
     p_bench.add_argument("--n", type=int, required=True)

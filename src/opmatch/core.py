@@ -165,16 +165,14 @@ def rep_sequence(values: Sequence[int]) -> list:
 
 
 def rep_table(p: PatternLike) -> Pattern:
-    """Validate a sequence and build its Pattern (ranks plus rep pairs)."""
+    """Validate a sequence and build its Pattern (ranks plus rep pairs).
+
+    A Pattern is returned unchanged.
+    """
     if isinstance(p, Pattern):
         return p
     values = validate_seq(p, require_nonempty=True)
     return Pattern(values, rank_normalize(values), tuple(rep_sequence(values)))
-
-
-def as_pattern(p: PatternLike) -> Pattern:
-    """Coerce raw integer sequences to Pattern; pass Pattern through."""
-    return p if isinstance(p, Pattern) else rep_table(p)
 
 
 def check_extension(window: Sequence[int], alpha: int, rp: RepPair) -> bool:
@@ -258,7 +256,7 @@ def naive_search(p: PatternLike, t: Sequence[int],
     text is assumed validated (pairwise distinct); pass a SearchStats to
     accumulate the number of symbols inspected.
     """
-    pat = as_pattern(p)
+    pat = rep_table(p)
     m = len(pat)
     n = len(t)
     if m > n:
@@ -277,7 +275,7 @@ def oi_border_table(p: PatternLike) -> tuple:
     prefix rep pairs.  Test oracle for the failure-link construction; no
     border structure is reused between candidates.
     """
-    pat = as_pattern(p)
+    pat = rep_table(p)
     vals = pat.values
     m = len(vals)
     reps = _rep0(pat)

@@ -48,45 +48,29 @@ class IntervalTransition(NamedTuple):
 class ForwardAutomaton:
     """Interval-transition automaton over states 0..m.
 
-    The eager build materializes every state's backward transitions up
-    front and the automaton is then immutable (concurrent searches are
-    safe).  The lazy variant starts empty and fills in one state's
-    transitions the first time a search needs them; a lazy instance mutates
-    during searches and must not be shared between threads.
+    build_forward expands every state's backward transitions up front; the
+    automaton is then immutable and concurrent searches are safe.
     """
 
-    def __init__(self, mp: MpAutomaton, lazy: bool):
+    def __init__(self, mp: MpAutomaton):
         self.pattern: Pattern = mp.pattern
-        self.m: int = mp.m
+        self.m: int = len(mp.pattern)
         self.fail = mp.fail
-        self.lazy = lazy
         self._rep = mp.pattern.rep
         self._rep0 = _rep0(mp.pattern)
         # doubled ranks by 1-based position; odd virtual values fall strictly
         # between two window values without ever colliding with one
         self._d2 = [0] + [2 * r for r in mp.pattern.ranks]
-        self._backward: List[Optional[list]] = [None] * (self.m + 1)
-        self._backward[0] = []
+        # state 0 needs no backward move: its forward label accepts anything
+        self._backward: List[list] = [[]]
 
     def backward_for(self, x: int) -> list:
-        """State x's backward transitions, materializing them if lazy."""
-        lst = self._backward[x]
-        if lst is None:
-            d2 = self._d2
-            pairs = sorted((d2[pos], pos) for pos in range(1, x + 1))
-            vals2 = [v for v, _ in pairs]
-            positions = [p for _, p in pairs]
-            lst = self._state_transitions(x, vals2, positions)
-            self._backward[x] = lst
-        return lst
+        """State x's backward transitions, in the order the search tests them."""
+        return self._backward[x]
 
     def transition_count(self) -> int:
-        """Forward transitions plus all currently materialized backward ones."""
-        return self.m + sum(len(lst) for lst in self._backward if lst)
-
-    def materialized_states(self) -> list:
-        """States (>=1) whose backward transitions exist right now."""
-        return [x for x in range(1, self.m + 1) if self._backward[x] is not None]
+        """Forward transitions plus all backward ones."""
+        return self.m + sum(len(lst) for lst in self._backward)
 
     def _state_transitions(self, x: int, vals2: list, positions: list) -> list:
         """Resolve all order classes of state x to one hull move per target.
@@ -168,7 +152,7 @@ class ForwardAutomaton:
 
 def build_forward(a: MpAutomaton) -> ForwardAutomaton:
     """Expand every state's backward transitions up front."""
-    fa = ForwardAutomaton(a, lazy=False)
+    fa = ForwardAutomaton(a)
     d2 = fa._d2
     vals2: list = []
     positions: list = []
@@ -176,13 +160,8 @@ def build_forward(a: MpAutomaton) -> ForwardAutomaton:
         idx = bisect_left(vals2, d2[x])
         vals2.insert(idx, d2[x])
         positions.insert(idx, x)
-        fa._backward[x] = fa._state_transitions(x, vals2, positions)
+        fa._backward.append(fa._state_transitions(x, vals2, positions))
     return fa
-
-
-def build_forward_lazy(a: MpAutomaton) -> ForwardAutomaton:
-    """Defer each state's backward transitions until a search needs them."""
-    return ForwardAutomaton(a, lazy=True)
 
 
 def forward_search(f: ForwardAutomaton, t: Sequence[int]):
@@ -200,7 +179,7 @@ def forward_search(f: ForwardAutomaton, t: Sequence[int]):
     if m > n:
         raise PatternLongerThanText(f"pattern length {m} exceeds text length {n}")
     reps = f._rep0
-    backward_for = f.backward_for
+    backward = f._backward
     fail_m = f.fail[m]
     x = 0
     trans = 0
@@ -216,7 +195,7 @@ def forward_search(f: ForwardAutomaton, t: Sequence[int]):
                 out.append(Occurrence(i0 - m + 2))
                 x = fail_m
             continue
-        for low, high, target in backward_for(x):
+        for low, high, target in backward[x]:
             trans += 1
             if (low is None or t[base + low - 1] < c) and \
                (high is None or c < t[base + high - 1]):

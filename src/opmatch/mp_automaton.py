@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import (Occurrence, Pattern, PatternLike, PatternLongerThanText,
-                   SearchStats, as_pattern, _rep0)
+                   SearchStats, _rep0, rep_table)
 from .predset import PredSet
 
 
@@ -30,7 +30,6 @@ class MpAutomaton:
     """
 
     pattern: Pattern
-    m: int
     fail: tuple
     build_ops: int = field(default=0, repr=False)
 
@@ -50,7 +49,7 @@ def build_mp(p: PatternLike) -> MpAutomaton:
     shrinks along the failure chain and the symbols that fall out of the
     window are deleted from the set.
     """
-    pat = as_pattern(p)
+    pat = rep_table(p)
     m = len(pat)
     ranks = pat.ranks
     rep = pat.rep
@@ -76,7 +75,7 @@ def build_mp(p: PatternLike) -> MpAutomaton:
             fail[j] = i
             window.insert(rj, j)
         ops = window.ops
-    return MpAutomaton(pat, m, tuple(fail), ops)
+    return MpAutomaton(pat, tuple(fail), ops)
 
 
 def mp_search(a: MpAutomaton, t: Sequence[int]):
@@ -89,7 +88,7 @@ def mp_search(a: MpAutomaton, t: Sequence[int]):
     overlapping occurrences are reported.  transitions_taken counts every
     forward test and every failure step; it never exceeds 3n.
     """
-    m = a.m
+    m = len(a.pattern)
     n = len(t)
     if m > n:
         raise PatternLongerThanText(f"pattern length {m} exceeds text length {n}")

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import (Occurrence, Pattern, PatternLike, SearchStats, as_pattern,
-                   rank_normalize)
+from .core import (Occurrence, PatternLike, SearchStats, rank_normalize,
+                   rep_table)
 from .predset import PredSet
 
 
@@ -33,20 +33,12 @@ class PatternSet:
     patterns: tuple
 
     @property
-    def d(self) -> int:
-        return len(self.patterns)
-
-    @property
     def m_total(self) -> int:
         return sum(len(p) for p in self.patterns)
 
-    @property
-    def r(self) -> int:
-        return max(len(p) for p in self.patterns)
-
 
 def make_pattern_set(seqs: Iterable[PatternLike]) -> PatternSet:
-    patterns = tuple(as_pattern(s) for s in seqs)
+    patterns = tuple(rep_table(s) for s in seqs)
     if not patterns:
         raise ValueError("pattern set must contain at least one pattern")
     return PatternSet(patterns)

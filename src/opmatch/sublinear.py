@@ -14,49 +14,31 @@ candidate start is examined once and the result equals the naive scan.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import ceil, log2
 from typing import Optional, Sequence
 
 from .core import (Occurrence, PatternLike, PatternLongerThanText,
-                   SearchStats, as_pattern, rep_sequence, scan_alignments)
+                   SearchStats, rep_sequence, rep_table, scan_alignments)
 from .mp_automaton import build_mp, mp_search
-
-DEFAULT_B_FACTOR = 3.5  # scales the backward read length; tunable via CLI
 
 
 class FallbackRequired(Exception):
     """The pattern is too short for backward-window search; use mp_search."""
 
 
-def choose_b(m: int, factor: float = DEFAULT_B_FACTOR) -> Optional[int]:
+def choose_b(m: int) -> Optional[int]:
     """Backward read length for pattern length m, or None to decline.
 
-    b = min(ceil(factor * log2(m) / log2(log2(m))), m // 2).  Declines for
+    b = min(ceil(3.5 * log2(m) / log2(log2(m))), m // 2).  Declines for
     m < 16 (log log degeneracy) and whenever the formula would exceed half
     the pattern, where the window arithmetic stops paying off.
     """
     if m < 16:
         return None
-    raw = ceil(factor * log2(m) / log2(log2(m)))
+    raw = ceil(3.5 * log2(m) / log2(log2(m)))
     if raw > m / 2:
         return None
     return min(raw, m // 2)
-
-
-@dataclass(frozen=True)
-class WindowPlan:
-    """Geometry of one search round: read b back, verify, shift."""
-
-    b: int
-    shift: int
-    verify_range_length: int
-
-    @staticmethod
-    def for_length(m: int, b: int) -> "WindowPlan":
-        if 2 * b > m:
-            raise ValueError(f"backward read length {b} exceeds half of m={m}")
-        return WindowPlan(b=b, shift=m - b + 1, verify_range_length=m - b + 1)
 
 
 class FactorTree:
@@ -87,7 +69,7 @@ class FactorTree:
 
 
 def build_factor_tree(p: PatternLike, b: int) -> FactorTree:
-    pat = as_pattern(p)
+    pat = rep_table(p)
     m = len(pat)
     if b > m:
         raise ValueError(f"factor length {b} exceeds pattern length {m}")
@@ -100,22 +82,21 @@ def build_factor_tree(p: PatternLike, b: int) -> FactorTree:
     return FactorTree(b, root)
 
 
-def sublinear_search(p: PatternLike, t: Sequence[int],
-                     b_factor: float = DEFAULT_B_FACTOR):
+def sublinear_search(p: PatternLike, t: Sequence[int]):
     """All occurrences of p in t; raises FallbackRequired for short patterns.
 
     symbols_read counts tree reads plus verification reads; verifications
     counts naive per-start checks.
     """
-    pat = as_pattern(p)
+    pat = rep_table(p)
     m = len(pat)
     n = len(t)
     if m > n:
         raise PatternLongerThanText(f"pattern length {m} exceeds text length {n}")
-    b = choose_b(m, b_factor)
+    b = choose_b(m)
     if b is None:
         raise FallbackRequired(f"no backward read length for m={m}")
-    plan = WindowPlan.for_length(m, b)
+    shift = m - b + 1
     tree = build_factor_tree(pat, b)
     root = tree.root
     last_start = n - m + 1
@@ -145,20 +126,19 @@ def sublinear_search(p: PatternLike, t: Sequence[int],
             out.extend(Occurrence(s) for s in positions)
             reads += vreads
             verifications += hi - lo + 1
-        e += plan.shift
+        e += shift
     stats = SearchStats(symbols_read=reads, verifications=verifications)
     return out, stats
 
 
-def search_or_fallback(p: PatternLike, t: Sequence[int],
-                       b_factor: float = DEFAULT_B_FACTOR):
+def search_or_fallback(p: PatternLike, t: Sequence[int]):
     """sublinear_search, or mp_search when the engine declines.
 
     Returns (occurrences, stats, fell_back).
     """
-    pat = as_pattern(p)
+    pat = rep_table(p)
     try:
-        occurrences, stats = sublinear_search(pat, t, b_factor)
+        occurrences, stats = sublinear_search(pat, t)
         return occurrences, stats, False
     except FallbackRequired:
         occurrences, stats = mp_search(build_mp(pat), t)

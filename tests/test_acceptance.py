@@ -16,32 +16,21 @@ from itertools import permutations
 
 import pytest
 
-from opmatch.bench import BenchConfig, random_permutation, run_bench, write_csv
+from opmatch.bench import (ENGINES, BenchConfig, random_permutation, run_bench,
+                           write_csv)
 from opmatch.core import Occurrence, naive_search, oi_border_table, rep_table
-from opmatch.forward_automaton import (build_forward, build_forward_lazy,
-                                       forward_search)
-from opmatch.mp_automaton import build_mp, mp_search
+from opmatch.forward_automaton import build_forward
+from opmatch.mp_automaton import build_mp
 from opmatch.multi_ac import ac_search, build_ac, make_pattern_set
 from opmatch.sublinear import choose_b, search_or_fallback
 
 import io
 
-SINGLE_ENGINES = ("mp", "forward", "forward-lazy", "sublinear")
+SINGLE_ENGINES = ("mp", "forward", "sublinear")
 
 
 def positions(occ):
     return [o.position for o in occ]
-
-
-def run_engine(name, pattern, text):
-    if name == "mp":
-        return mp_search(build_mp(pattern), text)
-    if name == "forward":
-        return forward_search(build_forward(build_mp(pattern)), text)
-    if name == "forward-lazy":
-        return forward_search(build_forward_lazy(build_mp(pattern)), text)
-    occ, stats, _ = search_or_fallback(pattern, text)
-    return occ, stats
 
 
 def report(criterion, ok, detail=""):
@@ -62,7 +51,7 @@ def fuzz_corpus():
         want = positions(naive_search(pattern, text))
         engines = {}
         for name in SINGLE_ENGINES:
-            occ, stats = run_engine(name, pattern, text)
+            occ, stats = ENGINES[name](pattern, text)
             engines[name] = (positions(occ), stats)
         cases.append({"m": m, "n": n, "want": want, "engines": engines})
     return cases
@@ -78,10 +67,10 @@ def test_criterion_1_oracle_equivalence_exhaustive():
                 text = random_permutation(64, rng.getrandbits(31))
                 want = positions(naive_search(pat, text))
                 for name in SINGLE_ENGINES:
-                    got, _ = run_engine(name, pat, text)
+                    got, _ = ENGINES[name](pat, text)
                     assert positions(got) == want, (name, pattern)
                 checked += 1
-    report(1, True, f"({checked} pattern/text pairs, 4 engines, exact)")
+    report(1, True, f"({checked} pattern/text pairs, 3 engines, exact)")
 
 
 def test_criterion_2_oracle_equivalence_fuzz(fuzz_corpus):
@@ -140,10 +129,9 @@ def test_criterion_4_mp_amortization(fuzz_corpus):
 
 def test_criterion_5_forward_amortization(fuzz_corpus):
     for case in fuzz_corpus:
-        for name in ("forward", "forward-lazy"):
-            _, stats = case["engines"][name]
-            assert stats.transitions_taken <= 2 * case["n"]
-    report(5, True, "(transitions <= 2n on all 1000 fuzz cases, both variants)")
+        _, stats = case["engines"]["forward"]
+        assert stats.transitions_taken <= 2 * case["n"]
+    report(5, True, "(transitions <= 2n on all 1000 fuzz cases)")
 
 
 def test_criterion_6_failure_table_correctness():

@@ -6,7 +6,7 @@ import io
 
 import pytest
 
-from opmatch.bench import (ALGORITHMS, CSV_HEADER, BenchConfig, BenchRecord,
+from opmatch.bench import (CSV_HEADER, ENGINES, BenchConfig, BenchRecord,
                            random_permutation, run_bench, write_csv)
 
 
@@ -68,7 +68,7 @@ class TestRunBench:
             assert rec.transitions <= 2 * 1024
 
     def test_all_algorithms_run(self):
-        for algo in ALGORITHMS:
+        for algo in ENGINES:
             cfg = BenchConfig(algo=algo, m=20, n=400, trials=1, seed=5)
             (rec,) = run_bench(cfg)
             assert rec.algo == algo and rec.m == 20 and rec.n == 400
@@ -97,7 +97,7 @@ class TestRunBench:
             BenchConfig(algo="mp", m=9, n=8, trials=1, seed=0)
 
     def test_counter_sanity(self):
-        for algo in ALGORITHMS:
+        for algo in ENGINES:
             cfg = BenchConfig(algo=algo, m=3, n=2048, trials=2, seed=13)
             for rec in run_bench(cfg):
                 assert rec.symbols_read >= rec.occurrences

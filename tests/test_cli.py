@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from opmatch.cli import EX_DATA, EX_IOERR, EX_OK, EX_USAGE, main
+import argparse
+
+from opmatch.bench import ENGINES
+from opmatch.cli import EX_DATA, EX_IOERR, EX_OK, EX_USAGE, build_parser, main
 
 
 def run(capsys, *argv):
@@ -77,7 +80,7 @@ class TestSearch:
         t = write(tmp_path / "t.txt",
                   " ".join(map(str, random_permutation(3000, 6))))
         outputs = set()
-        for algo in ("naive", "mp", "forward", "forward-lazy", "sublinear"):
+        for algo in ENGINES:
             code, out, _ = run(capsys, "search", "--algo", algo, "--quiet", p, t)
             assert code == EX_OK
             outputs.add(out)
@@ -98,6 +101,15 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--algo", "sublinear", "--quiet", p, t)
         assert code == EX_OK and err == ""
 
+    def test_read_length_option_is_usage_error(self, tmp_path, capsys):
+        # the backward read length is fixed; the removed flag must not run
+        # a different search silently
+        p = write(tmp_path / "p.txt", " ".join(map(str, range(1, 17))))
+        t = write(tmp_path / "t.txt", " ".join(map(str, range(1, 40))))
+        code, out, _ = run(capsys, "search", "--algo", "sublinear",
+                           "--b-factor", "1", p, t)
+        assert code == EX_USAGE and out == ""
+
     def test_comments_and_whitespace(self, tmp_path, capsys):
         p = write(tmp_path / "p.txt", "# the pattern\n2\n1\n")
         t = write(tmp_path / "t.txt", "9 5 # trailing comment\n3\n")
@@ -113,8 +125,9 @@ class TestSearch:
     def test_pattern_longer_than_text(self, tmp_path, capsys):
         p = write(tmp_path / "p.txt", "1 2 3\n")
         t = write(tmp_path / "t.txt", "1 2\n")
-        code, _, _ = run(capsys, "search", p, t)
-        assert code == EX_DATA
+        for algo in ENGINES:
+            code, _, _ = run(capsys, "search", "--algo", algo, p, t)
+            assert code == EX_DATA, algo
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         t = write(tmp_path / "t.txt", "1 2\n")
@@ -198,3 +211,12 @@ class TestBench:
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == EX_OK
+
+
+def test_search_and_bench_offer_every_engine():
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command in ("search", "bench"):
+        algo = next(a for a in commands[command]._actions if a.dest == "algo")
+        assert set(algo.choices) == set(ENGINES), command

@@ -1,7 +1,10 @@
-"""Core types, validation, rank normalization, rep pairs, and oracles."""
+"""Core types, validation, rank normalization, rep pairs, oracles, and the
+package's public names."""
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 from itertools import permutations
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import opmatch
 from opmatch.core import (DuplicateValue, EmptyInput, Occurrence,
                           PatternLongerThanText, PositionOutOfRange, RepPair,
                           SearchStats, check_extension, is_order_isomorphic,
@@ -240,3 +244,15 @@ class TestBorderTable:
                     # the border's own border is a border of the prefix
                     kk = fail[k - 1]
                     assert is_order_isomorphic(vals[:kk], vals[j - kk:j])
+
+
+def test_public_names_resolve_and_removed_names_are_gone():
+    for name in opmatch.__all__:
+        getattr(opmatch, name)
+    namespaces = [vars(opmatch), vars(opmatch.ForwardAutomaton)]
+    namespaces += [vars(importlib.import_module(f"opmatch.{info.name}"))
+                   for info in pkgutil.iter_modules(opmatch.__path__)]
+    for name in ("build_forward_lazy", "as_pattern", "WindowPlan",
+                 "materialized_states"):
+        assert name not in opmatch.__all__
+        assert not any(name in ns for ns in namespaces), name

@@ -1,4 +1,4 @@
-"""Expanded automaton: construction vs brute force, search, lazy variant.
+"""Expanded automaton: construction vs brute force, search.
 
 Every state's moves, state m included, are checked one order class at a
 time against a definitional brute-force simulation: one step taken on a
@@ -18,7 +18,7 @@ from opmatch.bench import random_permutation
 from opmatch.core import (Occurrence, PatternLongerThanText,
                           is_order_isomorphic, naive_search, rep_table)
 from opmatch.forward_automaton import (IntervalTransition, build_forward,
-                                       build_forward_lazy, forward_search)
+                                       forward_search)
 from opmatch.mp_automaton import build_mp, mp_search
 
 from conftest import rank_patterns
@@ -100,16 +100,6 @@ def assert_matches_brute(pat, f):
         classes, _ = brute_class_targets(pat, x)
         for alpha, want in classes:
             assert step(f, pat.values[:x], alpha) == want, (pat.values, x, alpha)
-
-
-def trajectory(auto, t):
-    """Per-symbol state sequence, driving the automaton one symbol at a time."""
-    x = 0
-    states = []
-    for i0, c in enumerate(t):
-        x = step(auto, t[i0 - x:i0], c)
-        states.append(x)
-    return states
 
 
 class TestBuildForward:
@@ -217,38 +207,3 @@ class TestForwardSearch:
             a = build_mp(random_permutation(m, rng.getrandbits(30)))
             assert positions(forward_search(build_forward(a), t)[0]) == \
                 positions(mp_search(a, t)[0])
-
-
-class TestLazyBuild:
-    def test_untouched_states_hold_nothing(self):
-        f = build_forward_lazy(build_mp([2, 1]))
-        assert f.materialized_states() == []
-        forward_search(f, (1, 2))
-        assert len(f.materialized_states()) <= 2
-
-    def test_materialized_subset_of_eager(self):
-        rng = random.Random(45)
-        for _ in range(50):
-            m = rng.randint(2, 24)
-            n = rng.randint(m, 256)
-            a = build_mp(random_permutation(m, rng.getrandbits(30)))
-            t = random_permutation(n, rng.getrandbits(30))
-            eager = build_forward(a)
-            lazy = build_forward_lazy(a)
-            occ_e, st_e = forward_search(eager, t)
-            occ_l, st_l = forward_search(lazy, t)
-            assert occ_e == occ_l
-            assert st_e == st_l
-            assert lazy.transition_count() <= eager.transition_count()
-            for x in lazy.materialized_states():
-                assert lazy.backward_for(x) == eager.backward_for(x)
-
-    def test_identical_state_trajectories(self):
-        rng = random.Random(46)
-        for _ in range(30):
-            m = rng.randint(2, 16)
-            n = rng.randint(m, 256)
-            a = build_mp(random_permutation(m, rng.getrandbits(30)))
-            t = random_permutation(n, rng.getrandbits(30))
-            assert trajectory(build_forward(a), t) == \
-                trajectory(build_forward_lazy(a), t)

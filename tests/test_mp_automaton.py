@@ -30,7 +30,7 @@ class TestBuildMp:
 
     def test_fail_below_state_index(self):
         a = build_mp([4, 12, 6, 16, 10])
-        for j in range(1, a.m + 1):
+        for j in range(1, len(a.pattern) + 1):
             assert a.fail[j] < j
 
     def test_matches_border_oracle_exhaustive(self):

@@ -8,8 +8,8 @@ import pytest
 
 from opmatch.bench import random_permutation
 from opmatch.core import naive_search, rep_table
-from opmatch.sublinear import (FallbackRequired, WindowPlan, build_factor_tree,
-                               choose_b, search_or_fallback, sublinear_search)
+from opmatch.sublinear import (FallbackRequired, build_factor_tree, choose_b,
+                               search_or_fallback, sublinear_search)
 
 from conftest import oracle_oi
 
@@ -39,19 +39,8 @@ class TestChooseB:
             b = choose_b(m)
             assert b is not None and 2 * b <= m
 
-    def test_factor_is_tunable(self):
-        assert choose_b(1024, factor=7.0) == 22
-
 
 class TestWindowPlan:
-    def test_shift_and_range(self):
-        plan = WindowPlan.for_length(16, 7)
-        assert plan.shift == 10 and plan.verify_range_length == 10
-
-    def test_rejects_oversized_b(self):
-        with pytest.raises(ValueError):
-            WindowPlan.for_length(10, 6)
-
     def test_ranges_tile_the_text(self):
         # consecutive verification ranges are disjoint and cover all starts
         for m, n in ((16, 16), (16, 100), (32, 257), (64, 1000)):
