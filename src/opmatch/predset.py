@@ -3,9 +3,9 @@
 Two-level bitset: keys 1..capacity live in 64-bit words, and a summary
 integer has one bit per non-empty word.  Predecessor and successor queries
 scan at most one word plus the summary, so at the universe sizes used here
-(pattern and text lengths) every operation is a handful of machine-word
-steps.  The structure is the shared engine behind all failure-link and
-window bookkeeping in the automaton builders and searches.
+(pattern lengths) every operation is a handful of machine-word steps.
+The structure is the shared engine behind the border-window bookkeeping
+of the failure-link builders; the searches do not use it.
 
 Each key carries one payload (here always a position).  Instances count
 their operations in ``ops`` so build-cost bounds can be asserted in tests.

@@ -29,16 +29,12 @@ class FallbackRequired(Exception):
 def choose_b(m: int) -> Optional[int]:
     """Backward read length for pattern length m, or None to decline.
 
-    b = min(ceil(3.5 * log2(m) / log2(log2(m))), m // 2).  Declines for
-    m < 16 (log log degeneracy) and whenever the formula would exceed half
-    the pattern, where the window arithmetic stops paying off.
+    b = ceil(3.5 * log2(m) / log2(log2(m))).  Declines for m < 16 (log log
+    degeneracy); from m = 16 on, b never exceeds m // 2.
     """
     if m < 16:
         return None
-    raw = ceil(3.5 * log2(m) / log2(log2(m)))
-    if raw > m / 2:
-        return None
-    return min(raw, m // 2)
+    return ceil(3.5 * log2(m) / log2(log2(m)))
 
 
 class FactorTree:

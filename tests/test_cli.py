@@ -175,6 +175,13 @@ class TestMultisearch:
         code, out, _ = run(capsys, "multisearch", pats, t)
         assert code == EX_OK and len(out.splitlines()) == 3
 
+    def test_duplicate_text_value_is_data_error(self, tmp_path, capsys):
+        pats = write(tmp_path / "pats.txt", "1 2\n2 1\n")
+        t = write(tmp_path / "t.txt", "3 1 4 1 2\n")
+        code, out, err = run(capsys, "multisearch", pats, t)
+        assert code == EX_DATA and out == ""
+        assert "positions 2 and 4" in err
+
 
 class TestBench:
     def test_rows_and_header(self, capsys):

@@ -35,8 +35,14 @@ def collect_nodes(root):
 
 
 def node_string(auto, node):
-    """The node's string, reconstructed from its representative pattern."""
-    return auto.pattern_set.patterns[node.rep_id].values[:node.depth]
+    """The node's string: the prefix of a pattern whose path passes through it."""
+    for p in auto.pattern_set.patterns:
+        walk = auto.root
+        for key in p.rep[:node.depth]:
+            walk = walk.children[key]
+        if walk is node:
+            return p.values[:node.depth]
+    raise AssertionError("node lies on no pattern's path")
 
 
 class TestNormalizeSet:
@@ -92,9 +98,15 @@ class TestBuildAc:
 
     def test_fail_links_against_suffix_oracle(self):
         rng = random.Random(51)
-        for _ in range(60):
-            seqs = [random_permutation(rng.randint(1, 6), rng.getrandbits(30))
-                    for _ in range(rng.randint(1, 4))]
+        sets = [[random_permutation(rng.randint(1, 6), rng.getrandbits(30))
+                 for _ in range(rng.randint(1, 4))] for _ in range(60)]
+        # nested prefixes of one base pattern and a scaled copy of it: readers
+        # share nodes and patterns end at different depths
+        for _ in range(30):
+            base = random_permutation(rng.randint(2, 12), rng.getrandbits(30))
+            seqs = [base[:rng.randint(1, len(base))] for _ in range(rng.randint(1, 4))]
+            sets.append(seqs + [base, tuple(5 * v + 3 for v in base)])
+        for seqs in sets:
             auto = build_ac(make_pattern_set(seqs))
             nodes = collect_nodes(auto.root)
             by_string = {}

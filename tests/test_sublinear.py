@@ -27,7 +27,7 @@ class TestChooseB:
     def test_m_1024(self):
         assert choose_b(1024) == 11
 
-    def test_m_16_capped_by_half(self):
+    def test_m_16(self):
         assert choose_b(16) == 7
 
     def test_small_m_declines(self):
@@ -35,7 +35,7 @@ class TestChooseB:
         assert choose_b(15) is None
 
     def test_b_at_most_half(self):
-        for m in range(16, 3000, 7):
+        for m in [*range(16, 3000, 7), *range(3000, 2 * 10**6, 9973), 2 * 10**6]:
             b = choose_b(m)
             assert b is not None and 2 * b <= m
 
