@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterable, Optional, Sequence
 
 from . import bench as bench_mod
 from .core import InputError, SearchStats, rep_table, validate_seq
@@ -19,6 +20,7 @@ EX_OK = 0
 EX_IOERR = 2
 EX_USAGE = 64
 EX_DATA = 65
+OUTPUT_BLOCK = 8192  # occurrence lines per write
 
 
 def _read_tokens(path: str) -> list:
@@ -56,6 +58,13 @@ def _read_pattern_lines(path: str) -> list:
     return patterns
 
 
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write the lines to standard output, one write per OUTPUT_BLOCK lines."""
+    lines = iter(lines)
+    while block := "".join(islice(lines, OUTPUT_BLOCK)):
+        sys.stdout.write(block)
+
+
 def _print_stats(stats: SearchStats, out) -> None:
     print(f"# stats: symbols_read={stats.symbols_read} "
           f"transitions_taken={stats.transitions_taken} "
@@ -80,8 +89,7 @@ def cmd_search(args) -> int:
     if args.algo == "sublinear" and choose_b(len(pattern)) is None and not args.quiet:
         print("sublinear: pattern too short for backward-window search; "
               "falling back to mp", file=sys.stderr)
-    for o in occ:
-        print(o.position)
+    _write_lines(f"{o.position}\n" for o in occ)
     if args.stats:
         _print_stats(stats, sys.stdout)
     return EX_OK
@@ -91,8 +99,7 @@ def cmd_multisearch(args) -> int:
     patterns = make_pattern_set(_read_pattern_lines(args.patterns))
     text = validate_seq(_read_tokens(args.text))
     occ, stats = ac_search(build_ac(patterns), text)
-    for o in occ:
-        print(f"{o.position}\t{o.pattern_id + 1}")
+    _write_lines(f"{o.position}\t{o.pattern_id + 1}\n" for o in occ)
     if args.stats:
         _print_stats(stats, sys.stdout)
     return EX_OK

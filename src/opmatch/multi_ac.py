@@ -11,16 +11,14 @@ readers advance in rounds, one symbol each, so every link a reader follows
 is already set.  Each reader keeps its border window in a predecessor set
 over its own pattern's ranks, exactly as the single-pattern builder does.
 
-Searching keeps the last ``node.depth`` text symbols as (value, position)
-pairs sorted by value.  Reading a symbol bisects for its strict neighbours,
-re-bases their positions to window-relative ones, and uses the resulting
-rep pair as the child key; on a miss the failure link is followed and the
-symbols that left the window are deleted.
+The children of a node have distinct rep pairs over one prefix, so each
+stands for its own gap between adjacent prefix values, and the build also
+lists them sorted by gap.  Searching reads the text in place, as the
+single-pattern search does, binary-searching that list at every step.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -56,13 +54,14 @@ def normalize_set(ps: PatternSet) -> tuple:
 
 
 class AcNode:
-    """Trie node; children are keyed by the rep pair of the next symbol."""
+    """Trie node; children by rep pair, and as kids (x1, x2, child) by gap."""
 
-    __slots__ = ("depth", "children", "fail", "outputs", "all_outputs")
+    __slots__ = ("depth", "children", "kids", "fail", "outputs", "all_outputs")
 
     def __init__(self, depth: int):
         self.depth = depth
         self.children: dict = {}
+        self.kids: tuple = ()
         self.fail = None
         self.outputs: list = []
         self.all_outputs: tuple = ()
@@ -100,6 +99,12 @@ def build_ac(ps: PatternSet) -> AcAutomaton:
         node.outputs.append(pid)
         readers.append([path, ps.patterns[pid].ranks, PredSet(len(form)), root])
     windows = [r[2] for r in readers]
+    for path, ranks, _, _ in readers:  # a node's patterns order its prefix alike
+        for node in path:
+            if node.children and not node.kids:
+                node.kids = tuple(sorted(
+                    ((x1, x2, child) for (x1, x2), child in node.children.items()),
+                    key=lambda kid: 0 if kid[0] is None else ranks[kid[0] - 1]))
 
     j = 1
     while readers:
@@ -137,44 +142,39 @@ def ac_search(a: AcAutomaton, t: Sequence[int]):
 
     t must hold pairwise-distinct values (see ``validate_seq``); a repeated
     value gives undefined results.  Output ids cover every order-isomorphic
-    duplicate of a matched pattern.  transitions_taken counts child lookups
-    plus failure steps, matching the single-pattern automaton's accounting
-    on singleton sets.
+    duplicate of a matched pattern.  Reads the text in place, binary-searching
+    each node's children sorted by gap.  transitions_taken counts child
+    lookups plus failure steps, as ``mp_search`` does on one pattern.
     """
     lengths = [len(p) for p in a.pattern_set.patterns]
-    window: list = []  # (value, position) of the last node.depth symbols
     node = a.root
     trans = 0
     out = []
     for i0, c in enumerate(t):
-        i = i0 + 1
         while True:
-            depth = node.depth
             trans += 1
-            idx = bisect_left(window, (c,))
-            base = i - depth - 1
-            x1 = window[idx - 1][1] - base if idx else None
-            x2 = window[idx][1] - base if idx < depth else None
-            child = node.children.get((x1, x2))
-            if child is not None:
-                window.insert(idx, (c, i))
-                node = child
+            base = i0 - node.depth - 1
+            kids = node.kids
+            lo, hi = 0, len(kids)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                x1, x2, child = kids[mid]
+                if x1 is not None and t[base + x1] > c:
+                    hi = mid
+                elif x2 is not None and t[base + x2] < c:
+                    lo = mid + 1
+                else:
+                    break
+            if lo < hi or node.depth == 0:  # a kid matched, or the root missed
                 break
-            if depth == 0:
-                break
-            nxt = node.fail
-            for pos in range(i - depth, i - nxt.depth):
-                del window[bisect_left(window, (t[pos - 1],))]
-            node = nxt
+            node = node.fail
             trans += 1
+        if lo < hi:
+            node = child
         for pid in node.all_outputs:
-            out.append(Occurrence(i - lengths[pid] + 1, pid))
+            out.append(Occurrence(i0 - lengths[pid] + 2, pid))
         if not node.children:  # dead end, hop before the next symbol
-            nxt = node.fail
-            for pos in range(i - node.depth + 1, i - nxt.depth + 1):
-                del window[bisect_left(window, (t[pos - 1],))]
-            node = nxt
+            node = node.fail
             trans += 1
-        assert len(window) == node.depth
     out.sort()
     return out, SearchStats(symbols_read=len(t), transitions_taken=trans)

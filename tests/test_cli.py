@@ -5,7 +5,8 @@ from __future__ import annotations
 import argparse
 
 from opmatch.bench import ENGINES
-from opmatch.cli import EX_DATA, EX_IOERR, EX_OK, EX_USAGE, build_parser, main
+from opmatch.cli import (EX_DATA, EX_IOERR, EX_OK, EX_USAGE, OUTPUT_BLOCK,
+                         build_parser, main)
 
 
 def run(capsys, *argv):
@@ -181,6 +182,21 @@ class TestMultisearch:
         code, out, err = run(capsys, "multisearch", pats, t)
         assert code == EX_DATA and out == ""
         assert "positions 2 and 4" in err
+
+
+def test_output_spanning_blocks_keeps_line_format_and_stats_last(tmp_path, capsys):
+    # an ascending text matches "1 2" at every start: more than two blocks
+    n = 2 * OUTPUT_BLOCK + 5
+    p = write(tmp_path / "p.txt", "1 2\n")
+    t = write(tmp_path / "t.txt", "\n".join(map(str, range(1, n + 1))) + "\n")
+    for argv, line in ((("search", "--stats", p, t), "{}\n"),
+                       (("multisearch", "--stats", p, t), "{}\t1\n")):
+        code, out, _ = run(capsys, *argv)
+        assert code == EX_OK
+        lines = "".join(line.format(i) for i in range(1, n))
+        assert out.startswith(lines)
+        trailer = out[len(lines):]
+        assert trailer.startswith("# stats: symbols_read=") and trailer.count("\n") == 1
 
 
 class TestBench:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 from opmatch.bench import random_permutation
 from opmatch.core import (Occurrence, RepPair, naive_search, rank_normalize,
@@ -21,6 +22,16 @@ def per_pattern_oracle(ps, t):
             out.extend(Occurrence(o.position, pid) for o in naive_search(p, t))
     out.sort()
     return out
+
+
+def shaped_texts(n, rng):
+    """A random, an ascending, a descending and a zig-zag text of length n.
+
+    The zig-zag alternates a low and a high track, both rising.
+    """
+    zigzag = [k // 2 if k % 2 == 0 else n + k // 2 for k in range(n)]
+    return [random_permutation(n, rng.getrandbits(30)), list(range(1, n + 1)),
+            list(range(n, 0, -1)), zigzag]
 
 
 def collect_nodes(root):
@@ -182,20 +193,43 @@ class TestAcSearch:
             assert occ == per_pattern_oracle(ps, t)
 
     def test_transition_parity_with_mp_on_single_patterns(self):
+        # random texts, plus monotone and zig-zag ones that drive long
+        # failure chains and the dead-end hop
         rng = random.Random(55)
         for _ in range(80):
             m = rng.randint(1, 12)
             n = rng.randint(m, 256)
             p = rep_table(random_permutation(m, rng.getrandbits(30)))
-            t = random_permutation(n, rng.getrandbits(30))
-            _, st_mp = mp_search(build_mp(p), t)
-            _, st_ac = ac_search(build_ac(make_pattern_set([p])), t)
-            assert st_ac.transitions_taken == st_mp.transitions_taken
-            assert st_ac.symbols_read == st_mp.symbols_read
+            a_mp, a_ac = build_mp(p), build_ac(make_pattern_set([p]))
+            for t in shaped_texts(n, rng):
+                _, st_mp = mp_search(a_mp, t)
+                _, st_ac = ac_search(a_ac, t)
+                assert st_ac.transitions_taken == st_mp.transitions_taken, (p.values, t)
+                assert st_ac.symbols_read == st_mp.symbols_read
+        for p in ([1, 2, 3, 4], [4, 3, 2, 1], [1, 3, 2, 4], [2, 1, 4, 3, 6, 5]):
+            for t in shaped_texts(300, rng):
+                _, st_mp = mp_search(build_mp(rep_table(p)), t)
+                _, st_ac = ac_search(build_ac(make_pattern_set([p])), t)
+                assert st_ac.transitions_taken == st_mp.transitions_taken, (p, t)
 
-    def test_window_size_tracks_depth(self):
-        # the in-loop assertion is active under pytest (no -O); this drives
-        # it through failure chains with overlapping patterns
+    def test_every_gap_of_every_short_permutation(self):
+        # all 33 permutations of length 1..4: every node of depth < 4 has a
+        # child for every gap of its prefix, so the binary search over the
+        # children sorted by gap takes every probe path
+        seqs = [p for m in range(1, 5) for p in permutations(range(1, m + 1))]
+        ps = make_pattern_set(seqs)
+        auto = build_ac(ps)
+        for node in collect_nodes(auto.root):
+            if node.depth < 4:
+                assert len(node.kids) == node.depth + 1
+        for t in shaped_texts(400, random.Random(56)):
+            occ, _ = ac_search(auto, t)
+            assert occ == per_pattern_oracle(ps, t)
+
+    def test_overlapping_failure_chains_match_oracle(self):
+        # overlapping patterns whose failure chains interleave: the search
+        # follows links between them at every depth and must still agree
+        # with the per-pattern oracle
         auto = build_ac(make_pattern_set([[1, 2, 3, 4], [2, 1], [3, 4, 1, 2]]))
         t = random_permutation(500, 77)
         occ, _ = ac_search(auto, t)
