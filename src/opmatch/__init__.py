@@ -9,31 +9,27 @@ alongside their occurrence lists.
 """
 
 from .core import (DuplicateValue, EmptyInput, InputError, Occurrence,
-                   Pattern, PatternLongerThanText, PositionOutOfRange,
-                   RepPair, SearchStats, check_extension, is_order_isomorphic,
-                   naive_search, oi_border_table, rank_normalize, rep_table,
-                   validate_seq)
+                   Pattern, PatternLongerThanText, RepPair, SearchStats,
+                   naive_search, rank_normalize, rep_table, validate_seq)
 from .predset import KeyAbsent, KeyOutOfUniverse, KeyPresent, PredSet
 from .mp_automaton import MpAutomaton, build_mp, mp_search
 from .forward_automaton import (ForwardAutomaton, IntervalTransition,
                                 build_forward, forward_search)
 from .multi_ac import (AcAutomaton, AcNode, PatternSet, ac_search, build_ac,
-                       make_pattern_set, normalize_set)
-from .sublinear import (FactorTree, FallbackRequired, build_factor_tree,
-                        choose_b, search_or_fallback, sublinear_search)
+                       make_pattern_set)
+from .sublinear import (FallbackRequired, build_factor_tree, choose_b,
+                        search_or_fallback, sublinear_search)
 from .bench import (BenchConfig, BenchRecord, random_permutation, run_bench,
                     write_csv)
 
 __all__ = [
     "AcAutomaton", "AcNode", "BenchConfig", "BenchRecord", "DuplicateValue",
-    "EmptyInput", "FactorTree", "FallbackRequired", "ForwardAutomaton",
-    "InputError", "IntervalTransition", "KeyAbsent", "KeyOutOfUniverse",
-    "KeyPresent", "MpAutomaton", "Occurrence", "Pattern",
-    "PatternLongerThanText", "PatternSet", "PositionOutOfRange", "PredSet",
-    "RepPair", "SearchStats", "ac_search", "build_ac", "build_factor_tree",
-    "build_forward", "build_mp", "check_extension", "choose_b",
-    "forward_search", "is_order_isomorphic", "make_pattern_set", "mp_search",
-    "naive_search", "normalize_set", "oi_border_table", "random_permutation",
-    "rank_normalize", "rep_table", "run_bench", "search_or_fallback",
-    "sublinear_search", "validate_seq", "write_csv",
+    "EmptyInput", "FallbackRequired", "ForwardAutomaton", "InputError",
+    "IntervalTransition", "KeyAbsent", "KeyOutOfUniverse", "KeyPresent",
+    "MpAutomaton", "Occurrence", "Pattern", "PatternLongerThanText",
+    "PatternSet", "PredSet", "RepPair", "SearchStats", "ac_search",
+    "build_ac", "build_factor_tree", "build_forward", "build_mp", "choose_b",
+    "forward_search", "make_pattern_set", "mp_search", "naive_search",
+    "random_permutation", "rank_normalize", "rep_table", "run_bench",
+    "search_or_fallback", "sublinear_search", "validate_seq", "write_csv",
 ]

@@ -23,12 +23,19 @@ EX_DATA = 65
 OUTPUT_BLOCK = 8192  # occurrence lines per write
 
 
+def _read_text(path: str) -> str:
+    """The file's contents; a byte outside ASCII is malformed data."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def _read_tokens(path: str) -> list:
     """Whitespace-separated decimal integers; '#' starts a comment."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
     tokens = []
-    for line in text.splitlines():
+    for line in _read_text(path).splitlines():
         body = line.split("#", 1)[0]
         tokens.extend(body.split())
     try:
@@ -39,10 +46,8 @@ def _read_tokens(path: str) -> list:
 
 def _read_pattern_lines(path: str) -> list:
     """One pattern per line; comment-only lines are skipped."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
     patterns = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         body = line.split("#", 1)[0]
         if line.strip().startswith("#"):
             continue
@@ -72,6 +77,9 @@ def _print_stats(stats: SearchStats, out) -> None:
 
 
 def cmd_gen(args) -> int:
+    if args.n < 1:
+        print("opmatch: --n must be >= 1", file=sys.stderr)
+        return EX_USAGE
     seq = bench_mod.random_permutation(args.n, args.seed)
     body = "\n".join(str(v) for v in seq) + "\n"
     if args.out:
@@ -175,12 +183,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse exits 0 for --help, 2 for usage
         return EX_OK if exc.code == 0 else EX_USAGE
     try:
-        if getattr(args, "n", None) is not None and args.n < 1:
-            print("opmatch: --n must be >= 1", file=sys.stderr)
-            return EX_USAGE
-        if getattr(args, "trials", None) is not None and args.trials < 1:
-            print("opmatch: --trials must be >= 1", file=sys.stderr)
-            return EX_USAGE
         return args.func(args)
     except InputError as exc:
         print(f"opmatch: {exc}", file=sys.stderr)

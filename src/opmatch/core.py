@@ -4,9 +4,9 @@ Two equal-length sequences of distinct integers are order-isomorphic when
 every pair of positions compares the same way in both.  A pattern occurs in
 a text at position i when it is order-isomorphic to the length-m text window
 starting there.  This module holds the shared vocabulary (validated
-sequences, rank normalization, predecessor/successor position pairs) and the
-slow-but-obviously-correct reference algorithms that every search engine in
-the package is tested against.
+sequences, rank normalization, predecessor/successor position pairs) and
+one oracle, ``naive_search``, the slow-but-obviously-correct scan that every
+search engine in the package is tested against.
 
 All positions in public contracts are 1-based.  Sentinel "no predecessor" /
 "no successor" is represented as ``None``, never as a magic integer.
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
-
-IntSeq = tuple  # validated sequence of pairwise-distinct integers
 
 
 class InputError(ValueError):
@@ -38,10 +36,6 @@ class DuplicateValue(InputError):
 
 class EmptyInput(InputError):
     """An empty sequence was given where a non-empty pattern is required."""
-
-
-class PositionOutOfRange(InputError):
-    """A rep-pair position points outside the window it is applied to."""
 
 
 class PatternLongerThanText(InputError):
@@ -106,7 +100,7 @@ class Pattern:
 PatternLike = Union[Pattern, Sequence[int]]
 
 
-def validate_seq(raw: Iterable[int], require_nonempty: bool = False) -> IntSeq:
+def validate_seq(raw: Iterable[int], require_nonempty: bool = False) -> tuple:
     """Check pairwise distinctness and return the sequence as a tuple.
 
     Raises DuplicateValue with the two offending 1-based indices, or
@@ -175,44 +169,6 @@ def rep_table(p: PatternLike) -> Pattern:
     return Pattern(values, rank_normalize(values), tuple(rep_sequence(values)))
 
 
-def check_extension(window: Sequence[int], alpha: int, rp: RepPair) -> bool:
-    """Does window + alpha stay order-isomorphic to the next longer prefix?
-
-    ``window`` must already be order-isomorphic to the prefix the rep pair
-    was computed for; the test is then two comparisons against the window
-    values at the rep positions.
-    """
-    x1, x2 = rp
-    ell = len(window)
-    if x1 is not None and not 1 <= x1 <= ell:
-        raise PositionOutOfRange(f"rep position {x1} outside window of length {ell}")
-    if x2 is not None and not 1 <= x2 <= ell:
-        raise PositionOutOfRange(f"rep position {x2} outside window of length {ell}")
-    if x1 is not None and not window[x1 - 1] < alpha:
-        return False
-    if x2 is not None and not alpha < window[x2 - 1]:
-        return False
-    return True
-
-
-def is_order_isomorphic(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Definitional pairwise check: every position pair compares alike.
-
-    Quadratic on purpose; this is the independent reference predicate the
-    faster code paths are validated against.
-    """
-    n = len(a)
-    if n != len(b):
-        return False
-    for i in range(n):
-        ai = a[i]
-        bi = b[i]
-        for j in range(i + 1, n):
-            if (ai < a[j]) != (bi < b[j]):
-                return False
-    return True
-
-
 def _rep0(p: Pattern) -> list:
     """Rep pairs converted to 0-based positions for tight inner loops."""
     return [(None if x1 is None else x1 - 1, None if x2 is None else x2 - 1)
@@ -265,37 +221,3 @@ def naive_search(p: PatternLike, t: Sequence[int],
     if stats is not None:
         stats.symbols_read += reads
     return [Occurrence(s) for s in positions]
-
-
-def oi_border_table(p: PatternLike) -> tuple:
-    """Longest proper order-isomorphic border of every prefix, by brute force.
-
-    For each prefix length j, candidate border lengths are tried from j-1
-    downward; each candidate suffix is re-verified from scratch against the
-    prefix rep pairs.  Test oracle for the failure-link construction; no
-    border structure is reused between candidates.
-    """
-    pat = rep_table(p)
-    vals = pat.values
-    m = len(vals)
-    reps = _rep0(pat)
-    fail = [0] * m
-    for j in range(2, m + 1):
-        best = 0
-        for k in range(j - 1, 0, -1):
-            base = j - k
-            ok = True
-            for d in range(k):
-                c = vals[base + d]
-                x1, x2 = reps[d]
-                if x1 is not None and not vals[base + x1] < c:
-                    ok = False
-                    break
-                if x2 is not None and not c < vals[base + x2]:
-                    ok = False
-                    break
-            if ok:
-                best = k
-                break
-        fail[j - 1] = best
-    return tuple(fail)

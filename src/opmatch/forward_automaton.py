@@ -23,7 +23,8 @@ the search to at most 2n transition tests.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, NamedTuple, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (Occurrence, Pattern, PatternLongerThanText, SearchStats,
                    _rep0)
@@ -45,123 +46,121 @@ class IntervalTransition(NamedTuple):
     target: int
 
 
+@dataclass(frozen=True)
 class ForwardAutomaton:
     """Interval-transition automaton over states 0..m.
 
-    build_forward expands every state's backward transitions up front; the
-    automaton is then immutable and concurrent searches are safe.
+    ``backward[x]`` lists state x's backward transitions in the order the
+    search tests them; ``_rep0`` holds the forward labels as 0-based window
+    positions.  build_forward fills both up front, so the automaton is
+    immutable and concurrent searches are safe.
     """
 
-    def __init__(self, mp: MpAutomaton):
-        self.pattern: Pattern = mp.pattern
-        self.m: int = len(mp.pattern)
-        self.fail = mp.fail
-        self._rep = mp.pattern.rep
-        self._rep0 = _rep0(mp.pattern)
-        # doubled ranks by 1-based position; odd virtual values fall strictly
-        # between two window values without ever colliding with one
-        self._d2 = [0] + [2 * r for r in mp.pattern.ranks]
-        # state 0 needs no backward move: its forward label accepts anything
-        self._backward: List[list] = [[]]
-
-    def backward_for(self, x: int) -> list:
-        """State x's backward transitions, in the order the search tests them."""
-        return self._backward[x]
+    pattern: Pattern
+    fail: tuple
+    backward: tuple
+    _rep0: list = field(repr=False)
 
     def transition_count(self) -> int:
         """Forward transitions plus all backward ones."""
-        return self.m + sum(len(lst) for lst in self._backward)
+        return len(self.pattern) + sum(len(lst) for lst in self.backward)
 
-    def _state_transitions(self, x: int, vals2: list, positions: list) -> list:
-        """Resolve all order classes of state x to one hull move per target.
 
-        Classes are indexed 0..x in increasing value order; class r stands
-        for a symbol falling between the (r-1)-th and r-th smallest window
-        values (doubled-rank virtual value vals2[r-1] + 1, or below/above
-        everything at the ends).  All classes descend the same failure
-        chain, and at each chain state q the accepting classes form one
-        contiguous range, so the descent processes whole index segments: a
-        segment's part inside that range commits to target q+1, the rest
-        falls through to the next chain state.  The committed parts of one
-        chain state are stored as their hull, which lies inside q's
-        accepting range; no class left for a later (lower) target can lie
-        in it, so the first hull in list order that accepts a symbol is its
-        class's own.  The descent visits targets in decreasing order, which
-        is the increasing jump order the search tests them in.  State m
-        gets no moves: the search delegates it to fail[m].
-        """
-        if x == self.m:
-            return []
-        rep = self._rep
-        fail = self.fail
-        d2 = self._d2
-        segments = []
-        x1, x2 = rep[x]  # forward label of state x, its class gets no move
-        if x1 is None:
-            rf = 0
-        elif x2 is None:
-            rf = x
+def _state_transitions(mp: MpAutomaton, d2: list, x: int, vals2: list,
+                       positions: list) -> list:
+    """Resolve all order classes of state x to one hull move per target.
+
+    Classes are indexed 0..x in increasing value order; class r stands
+    for a symbol falling between the (r-1)-th and r-th smallest window
+    values (doubled-rank virtual value vals2[r-1] + 1, or below/above
+    everything at the ends).  All classes descend the same failure
+    chain, and at each chain state q the accepting classes form one
+    contiguous range, so the descent processes whole index segments: a
+    segment's part inside that range commits to target q+1, the rest
+    falls through to the next chain state.  The committed parts of one
+    chain state are stored as their hull, which lies inside q's
+    accepting range; no class left for a later (lower) target can lie
+    in it, so the first hull in list order that accepts a symbol is its
+    class's own.  The descent visits targets in decreasing order, which
+    is the increasing jump order the search tests them in.  State m
+    gets no moves: the search delegates it to fail[m].
+    """
+    rep = mp.pattern.rep
+    if x == len(rep):
+        return []
+    fail = mp.fail
+    segments = []
+    x1, x2 = rep[x]  # forward label of state x, its class gets no move
+    if x1 is None:
+        rf = 0
+    elif x2 is None:
+        rf = x
+    else:
+        rf = bisect_left(vals2, d2[x1]) + 1
+    if rf > 0:
+        segments.append((0, rf - 1))
+    if rf < x:
+        segments.append((rf + 1, x))
+    hulls = []
+    q = fail[x]
+    while segments:
+        if q == 0:
+            hulls.append((segments[0][0], segments[-1][1], 1))
+            break
+        k, ell = rep[q]  # rep pair of prefix q+1
+        base = x - q  # window position d maps to pattern position base+d
+        # class r passes iff its virtual value lies in (w1, w2)
+        if k is None:
+            lo = 0
         else:
-            rf = bisect_left(vals2, d2[x1]) + 1
-        if rf > 0:
-            segments.append((0, rf - 1))
-        if rf < x:
-            segments.append((rf + 1, x))
-        hulls = []
-        q = fail[x]
-        while segments:
-            if q == 0:
-                hulls.append((segments[0][0], segments[-1][1], 1))
-                break
-            k, ell = rep[q]  # rep pair of prefix q+1
-            base = x - q  # window position d maps to pattern position base+d
-            # class r passes iff its virtual value lies in (w1, w2)
-            if k is None:
-                lo = 0
+            lo = bisect_left(vals2, d2[base + k]) + 1
+        if ell is None:
+            hi = x
+        else:
+            hi = bisect_left(vals2, d2[base + ell])
+        first = last = None
+        remaining = []
+        for a, b in segments:
+            ca = a if a > lo else lo
+            cb = b if b < hi else hi
+            if ca <= cb:
+                if first is None:
+                    first = ca
+                last = cb
+                if a < ca:
+                    remaining.append((a, ca - 1))
+                if cb < b:
+                    remaining.append((cb + 1, b))
             else:
-                lo = bisect_left(vals2, d2[base + k]) + 1
-            if ell is None:
-                hi = x
-            else:
-                hi = bisect_left(vals2, d2[base + ell])
-            first = last = None
-            remaining = []
-            for a, b in segments:
-                ca = a if a > lo else lo
-                cb = b if b < hi else hi
-                if ca <= cb:
-                    if first is None:
-                        first = ca
-                    last = cb
-                    if a < ca:
-                        remaining.append((a, ca - 1))
-                    if cb < b:
-                        remaining.append((cb + 1, b))
-                else:
-                    remaining.append((a, b))
-            if first is not None:
-                hulls.append((first, last, q + 1))
-            segments = remaining
-            q = fail[q]
-        return [
-            IntervalTransition(None if a == 0 else positions[a - 1],
-                               None if b == x else positions[b],
-                               target)
-            for a, b, target in hulls
-        ]
+                remaining.append((a, b))
+        if first is not None:
+            hulls.append((first, last, q + 1))
+        segments = remaining
+        q = fail[q]
+    return [
+        IntervalTransition(None if a == 0 else positions[a - 1],
+                           None if b == x else positions[b],
+                           target)
+        for a, b, target in hulls
+    ]
+
 
 def build_forward(a: MpAutomaton) -> ForwardAutomaton:
     """Expand every state's backward transitions up front."""
-    fa = ForwardAutomaton(a)
-    d2 = fa._d2
+    pat = a.pattern
+    # doubled ranks by 1-based position; odd virtual values fall strictly
+    # between two window values without ever colliding with one
+    d2 = [0] + [2 * r for r in pat.ranks]
     vals2: list = []
     positions: list = []
-    for x in range(1, fa.m + 1):
+    # state 0 needs no backward move: its forward label accepts anything
+    backward = [[]]
+    for x in range(1, len(pat) + 1):
         idx = bisect_left(vals2, d2[x])
         vals2.insert(idx, d2[x])
         positions.insert(idx, x)
-        fa._backward.append(fa._state_transitions(x, vals2, positions))
-    return fa
+        backward.append(_state_transitions(a, d2, x, vals2, positions))
+    return ForwardAutomaton(pat, a.fail, tuple(backward), _rep0(pat))
 
 
 def forward_search(f: ForwardAutomaton, t: Sequence[int]):
@@ -174,12 +173,12 @@ def forward_search(f: ForwardAutomaton, t: Sequence[int]):
     which costs no transition test.  transitions_taken counts every
     interval test and never exceeds 2n.
     """
-    m = f.m
+    m = len(f.pattern)
     n = len(t)
     if m > n:
         raise PatternLongerThanText(f"pattern length {m} exceeds text length {n}")
     reps = f._rep0
-    backward = f._backward
+    backward = f.backward
     fail_m = f.fail[m]
     x = 0
     trans = 0

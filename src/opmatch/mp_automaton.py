@@ -33,10 +33,6 @@ class MpAutomaton:
     fail: tuple
     build_ops: int = field(default=0, repr=False)
 
-    def failure_targets(self) -> tuple:
-        """fail[1..m] as a plain tuple (state j's failure target)."""
-        return self.fail[1:]
-
 
 def build_mp(p: PatternLike) -> MpAutomaton:
     """Build failure links with a sliding window in a predecessor set.

@@ -32,25 +32,12 @@ class PatternSet:
 
     patterns: tuple
 
-    @property
-    def m_total(self) -> int:
-        return sum(len(p) for p in self.patterns)
-
 
 def make_pattern_set(seqs: Iterable[PatternLike]) -> PatternSet:
     patterns = tuple(rep_table(s) for s in seqs)
     if not patterns:
         raise ValueError("pattern set must contain at least one pattern")
     return PatternSet(patterns)
-
-
-def normalize_set(ps: PatternSet) -> tuple:
-    """Normalized form (rep-pair sequence) of every pattern, id order.
-
-    Two patterns are order-isomorphic exactly when their normalized forms
-    are equal.
-    """
-    return tuple(p.rep for p in ps.patterns)
 
 
 class AcNode:
@@ -86,10 +73,10 @@ def build_ac(ps: PatternSet) -> AcAutomaton:
     root.fail = root
     node_count = 1
     readers = []  # [path from the root, ranks, border window, current node]
-    for pid, form in enumerate(normalize_set(ps)):
+    for pid, p in enumerate(ps.patterns):
         node = root
         path = [root]
-        for key in form:
+        for key in p.rep:
             child = node.children.get(key)
             if child is None:
                 child = node.children[key] = AcNode(node.depth + 1)
@@ -97,7 +84,7 @@ def build_ac(ps: PatternSet) -> AcAutomaton:
             node = child
             path.append(node)
         node.outputs.append(pid)
-        readers.append([path, ps.patterns[pid].ranks, PredSet(len(form)), root])
+        readers.append([path, p.ranks, PredSet(len(p)), root])
     windows = [r[2] for r in readers]
     for path, ranks, _, _ in readers:  # a node's patterns order its prefix alike
         for node in path:

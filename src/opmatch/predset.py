@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Optional, Tuple
 
 WORD = 64
-_LOW_MASKS = [(1 << b) - 1 for b in range(WORD + 1)]
+_LOW_MASKS = [(1 << b) - 1 for b in range(WORD)]
 
 Neighbor = Optional[Tuple[int, Any]]  # (key, payload) or None for no neighbour
 
@@ -38,9 +38,8 @@ class KeyAbsent(LookupError):
 class PredSet:
     """Set of (key, payload) with predecessor/successor queries.
 
-    query(y) returns the largest key <= y and the smallest key > y;
-    query_strict(y) makes the predecessor side strict as well.  Queries do
-    not mutate the contents (the ``ops`` counter still ticks).
+    query_strict(y) returns the largest key < y and the smallest key > y.
+    Queries do not mutate the contents (the ``ops`` counter still ticks).
     """
 
     __slots__ = ("capacity", "_words", "_summary", "_payload", "_size", "ops")
@@ -57,12 +56,6 @@ class PredSet:
 
     def __len__(self) -> int:
         return self._size
-
-    def __contains__(self, key: int) -> bool:
-        if not 1 <= key <= self.capacity:
-            return False
-        b = key - 1
-        return (self._words[b >> 6] >> (b & 63)) & 1 == 1
 
     def _check_key(self, key: int) -> None:
         if not 1 <= key <= self.capacity:
@@ -95,11 +88,10 @@ class PredSet:
         self._size -= 1
         self.ops += 1
 
-    def _pred(self, y: int, inclusive: bool) -> Neighbor:
+    def _pred(self, y: int) -> Neighbor:
         b = y - 1
         w = b >> 6
-        off = (b & 63) + 1 if inclusive else (b & 63)
-        word = self._words[w] & _LOW_MASKS[off]
+        word = self._words[w] & _LOW_MASKS[b & 63]
         if not word:
             below = self._summary & ((1 << w) - 1)
             if not below:
@@ -124,14 +116,8 @@ class PredSet:
             key = (w << 6) + (word & -word).bit_length()
         return key, self._payload[key]
 
-    def query(self, y: int) -> Tuple[Neighbor, Neighbor]:
-        """(largest key <= y, smallest key > y), each with payload."""
-        self._check_key(y)
-        self.ops += 1
-        return self._pred(y, True), self._succ(y)
-
     def query_strict(self, y: int) -> Tuple[Neighbor, Neighbor]:
         """(largest key < y, smallest key > y), each with payload."""
         self._check_key(y)
         self.ops += 1
-        return self._pred(y, False), self._succ(y)
+        return self._pred(y), self._succ(y)

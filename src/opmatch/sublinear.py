@@ -37,34 +37,17 @@ def choose_b(m: int) -> Optional[int]:
     return ceil(3.5 * log2(m) / log2(log2(m)))
 
 
-class FactorTree:
+def build_factor_tree(p: PatternLike, b: int) -> dict:
     """Trie of the normalized length-b factors of the reversed pattern.
 
-    A backward read t_e, t_{e-1}, ... descends from the root, keying each
-    step by the rep pair of the new symbol relative to the symbols read so
-    far; the read sequence (of any length up to b) is accepted exactly when
-    it is order-isomorphic to some factor of the reversed pattern.
-    Immutable after build; searches keep their scratch state locally, so
-    concurrent searches over one tree are safe.
+    Returns the root as nested dicts keyed by rep pair.  A backward read
+    t_e, t_{e-1}, ... descends from the root, keying each step by the rep
+    pair of the new symbol relative to the symbols read so far; the read
+    sequence (of any length up to b) is accepted exactly when it is
+    order-isomorphic to some factor of the reversed pattern.  Searches only
+    read the tree and keep their scratch state locally, so concurrent
+    searches over one tree are safe.
     """
-
-    __slots__ = ("b", "root")
-
-    def __init__(self, b: int, root: dict):
-        self.b = b
-        self.root = root
-
-    def match_depth(self, symbols: Sequence[int]) -> int:
-        """How many of the given symbols (in read order) are accepted."""
-        node = self.root
-        for depth, pair in enumerate(rep_sequence(symbols)):
-            node = node.get(pair)
-            if node is None:
-                return depth
-        return len(symbols)
-
-
-def build_factor_tree(p: PatternLike, b: int) -> FactorTree:
     pat = rep_table(p)
     m = len(pat)
     if b > m:
@@ -75,7 +58,7 @@ def build_factor_tree(p: PatternLike, b: int) -> FactorTree:
         node = root
         for pair in rep_sequence(reversed_vals[s:s + b]):
             node = node.setdefault(pair, {})
-    return FactorTree(b, root)
+    return root
 
 
 def sublinear_search(p: PatternLike, t: Sequence[int]):
@@ -93,8 +76,7 @@ def sublinear_search(p: PatternLike, t: Sequence[int]):
     if b is None:
         raise FallbackRequired(f"no backward read length for m={m}")
     shift = m - b + 1
-    tree = build_factor_tree(pat, b)
-    root = tree.root
+    root = build_factor_tree(pat, b)
     last_start = n - m + 1
     out = []
     reads = 0

@@ -2,13 +2,17 @@
 
 The oracles here deliberately re-derive everything from definitions
 (sorting, exhaustive scans) instead of reusing package internals, so they
-stay independent of the code paths they certify.
+stay independent of the code paths they certify.  The one exception is
+``oi_border_table``: it builds on ``rep_table``, which is checked against
+``oracle_rep_pairs``, and never on ``build_mp``.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import permutations
+
+from opmatch.core import _rep0, rep_table
 
 
 def oracle_ranks(seq):
@@ -48,6 +52,40 @@ def oracle_border_table(values):
                 break
         out.append(best)
     return tuple(out)
+
+
+def oi_border_table(p):
+    """Longest proper order-isomorphic border of every prefix, by brute force.
+
+    For each prefix length j, candidate border lengths are tried from j-1
+    downward; each candidate suffix is re-verified from scratch against the
+    prefix rep pairs.  Test oracle for the failure-link construction; no
+    border structure is reused between candidates.
+    """
+    pat = rep_table(p)
+    vals = pat.values
+    m = len(vals)
+    reps = _rep0(pat)
+    fail = [0] * m
+    for j in range(2, m + 1):
+        best = 0
+        for k in range(j - 1, 0, -1):
+            base = j - k
+            ok = True
+            for d in range(k):
+                c = vals[base + d]
+                x1, x2 = reps[d]
+                if x1 is not None and not vals[base + x1] < c:
+                    ok = False
+                    break
+                if x2 is not None and not c < vals[base + x2]:
+                    ok = False
+                    break
+            if ok:
+                best = k
+                break
+        fail[j - 1] = best
+    return tuple(fail)
 
 
 def oracle_positions(pattern_values, text):

@@ -18,13 +18,15 @@ import pytest
 
 from opmatch.bench import (ENGINES, BenchConfig, random_permutation, run_bench,
                            write_csv)
-from opmatch.core import Occurrence, naive_search, oi_border_table, rep_table
+from opmatch.core import Occurrence, naive_search, rep_table
 from opmatch.forward_automaton import build_forward
 from opmatch.mp_automaton import build_mp
 from opmatch.multi_ac import ac_search, build_ac, make_pattern_set
 from opmatch.sublinear import choose_b, search_or_fallback
 
 import io
+
+from conftest import oi_border_table
 
 SINGLE_ENGINES = ("mp", "forward", "sublinear")
 
@@ -139,7 +141,7 @@ def test_criterion_6_failure_table_correctness():
     for _ in range(10_000):
         m = rng.randint(1, 256)
         vals = random_permutation(m, rng.getrandbits(31))
-        assert build_mp(vals).failure_targets() == oi_border_table(vals)
+        assert build_mp(vals).fail[1:] == oi_border_table(vals)
     report(6, True, "(10^4 random patterns m <= 256, exact)")
 
 
@@ -182,10 +184,9 @@ def test_criterion_8_build_cost_counters():
             length = rng.randint(1, 200)
             seqs.append(random_permutation(length, rng.getrandbits(31)))
             m_total += length
-        ps = make_pattern_set(seqs)
-        auto = build_ac(ps)
-        assert auto.build_ops <= limit * ps.m_total, (ps.m_total, auto.build_ops)
-        checks.append(f"ac m_total={ps.m_total}: {auto.build_ops / ps.m_total:.2f} ops/symbol")
+        auto = build_ac(make_pattern_set(seqs))
+        assert auto.build_ops <= limit * m_total, (m_total, auto.build_ops)
+        checks.append(f"ac m_total={m_total}: {auto.build_ops / m_total:.2f} ops/symbol")
     report(8, True, "(" + "; ".join(checks) + f"; all <= {limit})")
 
 

@@ -184,6 +184,20 @@ class TestMultisearch:
         assert "positions 2 and 4" in err
 
 
+def test_non_ascii_input_is_data_error(tmp_path, capsys):
+    # a UTF-8 byte order mark in any input file a command reads
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf1 2 3\n")
+    p = write(tmp_path / "p.txt", "1 2\n")
+    t = write(tmp_path / "t.txt", "3 1 4 2\n")
+    for argv in (("search", p, str(bom)), ("search", str(bom), t),
+                 ("multisearch", p, str(bom)),
+                 ("bench", "--algo", "mp", "--n", "8", "--pattern-file", str(bom))):
+        code, out, err = run(capsys, *argv)
+        assert code == EX_DATA and out == "", argv
+        assert str(bom) in err, argv
+
+
 def test_output_spanning_blocks_keeps_line_format_and_stats_last(tmp_path, capsys):
     # an ascending text matches "1 2" at every start: more than two blocks
     n = 2 * OUTPUT_BLOCK + 5
@@ -224,6 +238,15 @@ class TestBench:
     def test_missing_m_usage(self, capsys):
         code, _, _ = run(capsys, "bench", "--algo", "mp", "--n", "8")
         assert code == EX_USAGE
+
+    def test_zero_trials_usage(self, capsys):
+        code, out, _ = run(capsys, "bench", "--algo", "mp", "--m", "4", "--n", "8",
+                           "--trials", "0")
+        assert code == EX_USAGE and out == ""
+
+    def test_zero_n_usage(self, capsys):
+        code, out, _ = run(capsys, "bench", "--algo", "mp", "--n", "0", "--m", "1")
+        assert code == EX_USAGE and out == ""
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

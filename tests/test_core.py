@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 
 import opmatch
 from opmatch.core import (DuplicateValue, EmptyInput, Occurrence,
-                          PatternLongerThanText, PositionOutOfRange, RepPair,
-                          SearchStats, check_extension, is_order_isomorphic,
-                          naive_search, oi_border_table, rank_normalize,
-                          rep_table, validate_seq)
+                          PatternLongerThanText, RepPair, SearchStats,
+                          naive_search, rank_normalize, rep_table,
+                          validate_seq)
 
-from conftest import (oracle_border_table, oracle_positions, oracle_ranks,
-                      oracle_rep_pairs, rank_patterns, random_distinct)
+from conftest import (oi_border_table, oracle_border_table, oracle_oi,
+                      oracle_positions, oracle_ranks, oracle_rep_pairs,
+                      rank_patterns, random_distinct)
 
 distinct_lists = st.lists(st.integers(-1000, 1000), min_size=1, max_size=40,
                           unique=True)
@@ -74,17 +74,19 @@ class TestRankNormalize:
 
 
 class TestOrderIsomorphic:
+    """The test suite's order-isomorphism oracle against the definition."""
+
     def test_example(self):
-        assert is_order_isomorphic((4, 12, 6, 16, 10), (1, 4, 2, 5, 3))
+        assert oracle_oi((4, 12, 6, 16, 10), (1, 4, 2, 5, 3))
 
     def test_swap_not_isomorphic(self):
-        assert not is_order_isomorphic((1, 2), (2, 1))
+        assert not oracle_oi((1, 2), (2, 1))
 
     def test_empty(self):
-        assert is_order_isomorphic((), ())
+        assert oracle_oi((), ())
 
     def test_length_mismatch(self):
-        assert not is_order_isomorphic((1,), (1, 2))
+        assert not oracle_oi((1,), (1, 2))
 
     def test_equivalent_to_rank_equality_exhaustive(self):
         # all pairs of permutations of length <= 5
@@ -92,15 +94,18 @@ class TestOrderIsomorphic:
             perms = rank_patterns(m)
             for a in perms:
                 for b in perms:
-                    assert is_order_isomorphic(a, b) == (a == b)
+                    assert oracle_oi(a, b) == (a == b)
 
     def test_equivalent_to_rank_equality_on_values(self):
+        # every position pair compares alike in both sequences
         rng = random.Random(1)
         for _ in range(200):
             n = rng.randint(0, 12)
             a = random_distinct(rng, n)
             b = random_distinct(rng, n)
-            assert is_order_isomorphic(a, b) == (oracle_ranks(a) == oracle_ranks(b))
+            pairwise = all((a[i] < a[j]) == (b[i] < b[j])
+                           for i in range(n) for j in range(i + 1, n))
+            assert oracle_oi(a, b) == pairwise
 
 
 class TestRepTable:
@@ -140,37 +145,6 @@ class TestRepTable:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             rep_table([])
-
-
-class TestCheckExtension:
-    def test_accepting_example(self):
-        assert check_extension((4, 12, 6), 16, RepPair(2, None))
-
-    def test_rejecting_example(self):
-        assert not check_extension((4, 12, 6), 5, RepPair(2, None))
-
-    def test_empty_window(self):
-        assert check_extension((), 42, RepPair(None, None))
-
-    def test_position_out_of_range(self):
-        with pytest.raises(PositionOutOfRange):
-            check_extension((4, 12), 5, RepPair(3, None))
-
-    def test_agrees_with_direct_oi_check(self):
-        # for every prefix and candidate symbol: extension test == direct OI test
-        rng = random.Random(3)
-        for _ in range(100):
-            m = rng.randint(1, 8)
-            vals = tuple(rng.sample(range(0, 40, 2), m))  # even, gaps for alphas
-            p = rep_table(vals)
-            for j in range(m - 1):
-                window = vals[:j + 1]
-                for alpha in range(-1, 41):
-                    if alpha in window:
-                        continue
-                    got = check_extension(window, alpha, p.rep[j + 1])
-                    want = is_order_isomorphic(window + (alpha,), vals[:j + 2])
-                    assert got == want
 
 
 class TestNaiveSearch:
@@ -243,16 +217,21 @@ class TestBorderTable:
                 if k > 0:
                     # the border's own border is a border of the prefix
                     kk = fail[k - 1]
-                    assert is_order_isomorphic(vals[:kk], vals[j - kk:j])
+                    assert oracle_oi(vals[:kk], vals[j - kk:j])
 
 
 def test_public_names_resolve_and_removed_names_are_gone():
     for name in opmatch.__all__:
         getattr(opmatch, name)
-    namespaces = [vars(opmatch), vars(opmatch.ForwardAutomaton)]
+    namespaces = [vars(opmatch)]
+    namespaces += [vars(cls) for cls in (opmatch.MpAutomaton, opmatch.ForwardAutomaton,
+                                         opmatch.PatternSet, opmatch.PredSet)]
     namespaces += [vars(importlib.import_module(f"opmatch.{info.name}"))
                    for info in pkgutil.iter_modules(opmatch.__path__)]
     for name in ("build_forward_lazy", "as_pattern", "WindowPlan",
-                 "materialized_states"):
+                 "materialized_states", "check_extension", "PositionOutOfRange",
+                 "is_order_isomorphic", "IntSeq", "oi_border_table", "FactorTree",
+                 "failure_targets", "match_depth", "backward_for", "m_total",
+                 "normalize_set", "query", "__contains__"):
         assert name not in opmatch.__all__
         assert not any(name in ns for ns in namespaces), name

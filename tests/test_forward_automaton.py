@@ -15,13 +15,13 @@ import random
 import pytest
 
 from opmatch.bench import random_permutation
-from opmatch.core import (Occurrence, PatternLongerThanText,
-                          is_order_isomorphic, naive_search, rep_table)
+from opmatch.core import (Occurrence, PatternLongerThanText, naive_search,
+                          rep_table)
 from opmatch.forward_automaton import (IntervalTransition, build_forward,
                                        forward_search)
 from opmatch.mp_automaton import build_mp, mp_search
 
-from conftest import rank_patterns
+from conftest import oracle_oi, rank_patterns
 
 
 def positions(occ):
@@ -52,7 +52,7 @@ def brute_class_targets(pat, x):
         s = list(vals[:x]) + [alpha]
         q = 0
         for length in range(min(m, x + 1), 0, -1):
-            if is_order_isomorphic(vals[:length], s[-length:]):
+            if oracle_oi(vals[:length], s[-length:]):
                 q = length
                 break
         classes.append((alpha, q))
@@ -77,13 +77,13 @@ def step(auto, window, c):
     order, and the first that accepts is taken.
     """
     x = len(window)
-    if x == auto.m:
+    if x == len(auto.pattern):
         x = auto.fail[x]
         window = window[len(window) - x:]
     x1, x2 = auto.pattern.rep[x]
     if (x1 is None or window[x1 - 1] < c) and (x2 is None or c < window[x2 - 1]):
         return x + 1
-    for low, high, target in auto.backward_for(x):
+    for low, high, target in auto.backward[x]:
         if (low is None or window[low - 1] < c) and \
            (high is None or c < window[high - 1]):
             return target
@@ -93,9 +93,9 @@ def step(auto, window, c):
 def assert_matches_brute(pat, f):
     """Every state's step on every order class reaches the brute target."""
     m = len(pat)
-    assert f.backward_for(m) == []
+    assert f.backward[m] == []
     for x in range(1, m + 1):
-        targets = [tr.target for tr in f.backward_for(x)]
+        targets = [tr.target for tr in f.backward[x]]
         assert len(targets) == len(set(targets)), (pat.values, x)
         classes, _ = brute_class_targets(pat, x)
         for alpha, want in classes:
@@ -107,7 +107,7 @@ class TestBuildForward:
         # state 1 = m delegates to fail[1] = 0, whose forward label accepts
         # every symbol: the forward move is the only transition
         f = build_forward(build_mp([7]))
-        assert f.backward_for(1) == []
+        assert f.backward[1] == []
         assert f.transition_count() == 1
         assert step(f, (7,), 3) == step(f, (7,), 9) == 1
 
@@ -115,8 +115,8 @@ class TestBuildForward:
         # from state 2 the two classes below window[2] share target 1; they
         # merge through state fail[2] = 1, whose one move covers both
         f = build_forward(build_mp([1, 2]))
-        assert f.backward_for(2) == []
-        assert f.backward_for(1) == [IntervalTransition(None, 1, 1)]
+        assert f.backward[2] == []
+        assert f.backward[1] == [IntervalTransition(None, 1, 1)]
         assert [step(f, (1, 2), c) for c in (0.5, 1.5, 2.5)] == [1, 1, 2]
         assert f.transition_count() == 3
 
@@ -126,7 +126,7 @@ class TestBuildForward:
             m = rng.randint(2, 24)
             f = build_forward(build_mp(random_permutation(m, rng.getrandbits(30))))
             for x in range(1, m + 1):
-                jumps = [x - tr.target for tr in f.backward_for(x)]
+                jumps = [x - tr.target for tr in f.backward[x]]
                 assert jumps == sorted(jumps)
                 assert all(j >= 0 for j in jumps)
 

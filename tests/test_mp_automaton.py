@@ -8,10 +8,10 @@ import pytest
 
 from opmatch.bench import random_permutation
 from opmatch.core import (Occurrence, PatternLongerThanText, naive_search,
-                          oi_border_table, rep_table)
+                          rep_table)
 from opmatch.mp_automaton import build_mp, mp_search
 
-from conftest import rank_patterns, random_distinct
+from conftest import oi_border_table, rank_patterns, random_distinct
 
 
 def positions(occ):
@@ -20,13 +20,13 @@ def positions(occ):
 
 class TestBuildMp:
     def test_running_example(self):
-        assert build_mp([4, 12, 6, 16, 10]).failure_targets() == (0, 1, 1, 2, 3)
+        assert build_mp([4, 12, 6, 16, 10]).fail[1:] == (0, 1, 1, 2, 3)
 
     def test_ascending(self):
-        assert build_mp([1, 2, 3, 4]).failure_targets() == (0, 1, 2, 3)
+        assert build_mp([1, 2, 3, 4]).fail[1:] == (0, 1, 2, 3)
 
     def test_singleton(self):
-        assert build_mp([7]).failure_targets() == (0,)
+        assert build_mp([7]).fail[1:] == (0,)
 
     def test_fail_below_state_index(self):
         a = build_mp([4, 12, 6, 16, 10])
@@ -36,13 +36,13 @@ class TestBuildMp:
     def test_matches_border_oracle_exhaustive(self):
         for m in range(1, 8):
             for perm in rank_patterns(m):
-                assert build_mp(perm).failure_targets() == oi_border_table(perm)
+                assert build_mp(perm).fail[1:] == oi_border_table(perm)
 
     def test_matches_border_oracle_random(self):
         rng = random.Random(30)
         for _ in range(300):
             vals = random_distinct(rng, rng.randint(1, 256))
-            assert build_mp(vals).failure_targets() == oi_border_table(vals)
+            assert build_mp(vals).fail[1:] == oi_border_table(vals)
 
     def test_build_ops_linear(self):
         m = 5000

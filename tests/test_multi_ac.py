@@ -9,8 +9,7 @@ from opmatch.bench import random_permutation
 from opmatch.core import (Occurrence, RepPair, naive_search, rank_normalize,
                           rep_table)
 from opmatch.mp_automaton import build_mp, mp_search
-from opmatch.multi_ac import (ac_search, build_ac, make_pattern_set,
-                              normalize_set)
+from opmatch.multi_ac import ac_search, build_ac, make_pattern_set
 
 from conftest import oracle_oi, random_distinct
 
@@ -59,18 +58,18 @@ def node_string(auto, node):
 class TestNormalizeSet:
     def test_running_example(self):
         ps = make_pattern_set([[4, 12, 6, 16, 10]])
-        assert normalize_set(ps)[0] == (RepPair(None, None), RepPair(1, None),
-                                        RepPair(1, 2), RepPair(2, None),
-                                        RepPair(3, 2))
+        assert ps.patterns[0].rep == (RepPair(None, None), RepPair(1, None),
+                                      RepPair(1, 2), RepPair(2, None),
+                                      RepPair(3, 2))
 
     def test_isomorphic_patterns_share_form(self):
         ps = make_pattern_set([[4, 12, 6, 16, 10], [1, 4, 2, 5, 3]])
-        forms = normalize_set(ps)
-        assert forms[0] == forms[1]
+        first, second = ps.patterns
+        assert first.rep == second.rep
 
     def test_descending_pair(self):
         ps = make_pattern_set([[2, 1]])
-        assert normalize_set(ps)[0] == (RepPair(None, None), RepPair(None, 1))
+        assert ps.patterns[0].rep == (RepPair(None, None), RepPair(None, 1))
 
 
 class TestBuildAc:
@@ -105,7 +104,7 @@ class TestBuildAc:
                     for _ in range(rng.randint(1, 5))]
             ps = make_pattern_set(seqs)
             auto = build_ac(ps)
-            assert auto.node_count <= ps.m_total + 1
+            assert auto.node_count <= sum(len(p) for p in ps.patterns) + 1
 
     def test_fail_links_against_suffix_oracle(self):
         rng = random.Random(51)
@@ -141,7 +140,7 @@ class TestBuildAc:
                 for _ in range(200)]
         ps = make_pattern_set(seqs)
         auto = build_ac(ps)
-        assert auto.build_ops <= 8 * ps.m_total
+        assert auto.build_ops <= 8 * sum(len(p) for p in ps.patterns)
 
 
 class TestAcSearch:

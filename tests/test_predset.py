@@ -11,10 +11,12 @@ from opmatch.predset import (KeyAbsent, KeyOutOfUniverse, KeyPresent, PredSet)
 
 
 def test_self_predecessor_convention():
+    # a present key is never its own predecessor
     s = PredSet(10)
+    s.insert(2, "q")
     s.insert(5, "p")
-    pred, succ = s.query(5)
-    assert pred == (5, "p")
+    pred, succ = s.query_strict(5)
+    assert pred == (2, "q")
     assert succ is None
 
 
@@ -22,7 +24,7 @@ def test_between_two_keys():
     s = PredSet(10)
     s.insert(3, "a")
     s.insert(9, "b")
-    assert s.query(7) == ((3, "a"), (9, "b"))
+    assert s.query_strict(7) == ((3, "a"), (9, "b"))
 
 
 def test_full_capacity_insert():
@@ -31,14 +33,14 @@ def test_full_capacity_insert():
     for k in range(1, u + 1):
         s.insert(k, -k)
     assert len(s) == u
-    assert s.query(u) == ((u, -u), None)
+    assert s.query_strict(u) == ((u - 1, 1 - u), None)
 
 
 def test_delete_then_empty_query():
     s = PredSet(8)
     s.insert(4, None)
     s.delete(4)
-    assert s.query(4) == (None, None)
+    assert s.query_strict(5) == (None, None)
 
 
 def test_delete_leaves_rest():
@@ -46,7 +48,7 @@ def test_delete_leaves_rest():
     s.insert(2, "x")
     s.insert(6, "y")
     s.delete(6)
-    assert s.query(9) == ((2, "x"), None)
+    assert s.query_strict(9) == ((2, "x"), None)
 
 
 def test_strict_query_skips_equal_key():
@@ -74,7 +76,7 @@ def test_error_cases():
     with pytest.raises(KeyOutOfUniverse):
         s.insert(0, None)
     with pytest.raises(KeyOutOfUniverse):
-        s.query(6)
+        s.query_strict(6)
     with pytest.raises(ValueError):
         PredSet(0)
 
@@ -82,17 +84,17 @@ def test_error_cases():
 def test_query_does_not_mutate():
     s = PredSet(64)
     s.insert(17, "a")
-    before = (len(s), 17 in s)
-    s.query(17)
+    before = (len(s), s.query_strict(18))
+    s.query_strict(17)
     s.query_strict(40)
-    assert (len(s), 17 in s) == before
+    assert (len(s), s.query_strict(18)) == before
 
 
 def test_ops_counter_counts_every_operation():
     s = PredSet(8)
     s.insert(1, None)
-    s.query(1)
     s.query_strict(1)
+    s.query_strict(2)
     s.delete(1)
     assert s.ops == 4
 
@@ -102,12 +104,13 @@ def test_word_boundaries():
     s = PredSet(200)
     for k in (1, 63, 64, 65, 128, 129, 200):
         s.insert(k, k)
-    assert s.query(62) == ((1, 1), (63, 63))
-    assert s.query(64) == ((64, 64), (65, 65))
+    assert s.query_strict(62) == ((1, 1), (63, 63))
+    assert s.query_strict(64) == ((63, 63), (65, 65))
+    assert s.query_strict(65) == ((64, 64), (128, 128))
     assert s.query_strict(128) == ((65, 65), (129, 129))
-    assert s.query(200) == ((200, 200), None)
+    assert s.query_strict(200) == ((129, 129), None)
     s.delete(64)
-    assert s.query(64) == ((63, 63), (65, 65))
+    assert s.query_strict(65) == ((63, 63), (128, 128))
 
 
 def test_randomized_equivalence_with_sorted_list():
@@ -140,10 +143,7 @@ def test_randomized_equivalence_with_sorted_list():
             y = rng.randint(1, universe)
             i = bisect.bisect_right(keys, y)
             want_succ = None if i == len(keys) else (keys[i], payload[keys[i]])
-            j = bisect.bisect_right(keys, y)
+            j = bisect.bisect_left(keys, y)
             want_pred = None if j == 0 else (keys[j - 1], payload[keys[j - 1]])
-            assert s.query(y) == (want_pred, want_succ)
-            js = bisect.bisect_left(keys, y)
-            want_pred_s = None if js == 0 else (keys[js - 1], payload[keys[js - 1]])
-            assert s.query_strict(y) == (want_pred_s, want_succ)
-    assert len(s) == len(keys)
+            assert s.query_strict(y) == (want_pred, want_succ)
+        assert len(s) == len(keys)
