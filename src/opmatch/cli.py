@@ -32,10 +32,26 @@ def _read_text(path: str) -> str:
         raise InputError(f"{path}: {exc}") from None
 
 
+def _check_decimal(path: str, text: str) -> None:
+    """Reject '1_0' and '+5' outside comments; int() would read them.
+
+    One scan of the whole text settles the usual file; only a file that
+    holds '_' or '+' somewhere has its tokens looked at.
+    """
+    if "_" not in text and "+" not in text:
+        return
+    for line in text.splitlines():
+        for tok in line.split("#", 1)[0].split():
+            if "_" in tok or "+" in tok:
+                raise InputError(f"{path}: invalid integer {tok!r}")
+
+
 def _read_tokens(path: str) -> list:
     """Whitespace-separated decimal integers; '#' starts a comment."""
+    text = _read_text(path)
+    _check_decimal(path, text)
     tokens = []
-    for line in _read_text(path).splitlines():
+    for line in text.splitlines():
         body = line.split("#", 1)[0]
         tokens.extend(body.split())
     try:
@@ -46,8 +62,10 @@ def _read_tokens(path: str) -> list:
 
 def _read_pattern_lines(path: str) -> list:
     """One pattern per line; comment-only lines are skipped."""
+    text = _read_text(path)
+    _check_decimal(path, text)
     patterns = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0]
         if line.strip().startswith("#"):
             continue

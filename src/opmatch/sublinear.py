@@ -1,14 +1,17 @@
 """Average-case sublinear search via backward factor recognition.
 
-A factor tree is built over all length-b factors of the reversed pattern,
-normalized to rep pairs.  The text is examined through a window of length m
-whose end advances by m-b+1 each round: up to b symbols are read backward
-from the window end through the tree.  If the read prefix is ever rejected,
-no occurrence can contain those symbols and start within the current
-verification range, so the whole range is skipped after only a few reads.
-If all b symbols are recognized, every start in the range is checked
-naively.  Consecutive verification ranges tile the text exactly, so each
-candidate start is examined once and the result equals the naive scan.
+A factor tree is built over all length-b factors of the reversed pattern.
+Each edge is keyed by the insertion rank of the new symbol: the number of
+symbols before it in the factor that are smaller.  The text is examined
+through a window of length m whose end advances by m-b+1 each round: up to
+b symbols are read backward from the window end through the tree, each step
+keyed by the insertion rank of the new text symbol among those read.  If
+the read prefix is ever rejected, no occurrence can contain those symbols
+and start within the current verification range, so the whole range is
+skipped after only a few reads.  If all b symbols are recognized, every
+start in the range is checked naively.  Consecutive verification ranges
+tile the text exactly, so each candidate start is examined once and the
+result equals the naive scan.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from math import ceil, log2
 from typing import Optional, Sequence
 
 from .core import (Occurrence, PatternLike, PatternLongerThanText,
-                   SearchStats, rep_sequence, rep_table, scan_alignments)
+                   SearchStats, rep_table, scan_alignments)
 from .mp_automaton import build_mp, mp_search
 
 
@@ -38,26 +41,34 @@ def choose_b(m: int) -> Optional[int]:
 
 
 def build_factor_tree(p: PatternLike, b: int) -> dict:
-    """Trie of the normalized length-b factors of the reversed pattern.
+    """Trie of the length-b factors of the reversed pattern, keyed by rank.
 
-    Returns the root as nested dicts keyed by rep pair.  A backward read
-    t_e, t_{e-1}, ... descends from the root, keying each step by the rep
-    pair of the new symbol relative to the symbols read so far; the read
-    sequence (of any length up to b) is accepted exactly when it is
-    order-isomorphic to some factor of the reversed pattern.  Searches only
-    read the tree and keep their scratch state locally, so concurrent
-    searches over one tree are safe.
+    Returns the root as nested dicts.  The edge for the j-th symbol of a
+    factor is keyed by its insertion rank: how many of the j-1 symbols
+    before it are smaller.  Given the symbols before it, the rank fixes the
+    new symbol's place among them, so a backward read t_e, t_{e-1}, ...
+    that descends by the insertion rank of each new symbol is accepted (to
+    any depth up to b) exactly when it is order-isomorphic to a prefix of
+    some factor of the reversed pattern.  Searches only read the tree and
+    keep their scratch state locally, so concurrent searches over one tree
+    are safe.
     """
     pat = rep_table(p)
     m = len(pat)
     if b > m:
         raise ValueError(f"factor length {b} exceeds pattern length {m}")
-    reversed_vals = pat.values[::-1]
+    reversed_ranks = pat.ranks[::-1]
     root: dict = {}
     for s in range(m - b + 1):
         node = root
-        for pair in rep_sequence(reversed_vals[s:s + b]):
-            node = node.setdefault(pair, {})
+        seen: list = []
+        for c in reversed_ranks[s:s + b]:
+            k = bisect_left(seen, c)
+            child = node.get(k)
+            if child is None:
+                child = node[k] = {}
+            node = child
+            seen.insert(k, c)
     return root
 
 
@@ -84,18 +95,16 @@ def sublinear_search(p: PatternLike, t: Sequence[int]):
     e = m
     while e <= n:
         node = root
-        seen: list = []  # (value, read-order position), sorted by value
+        seen: list = []  # values read so far, sorted
         depth = 0
         while depth < b:
             c = t[e - 1 - depth]
             reads += 1
-            idx = bisect_left(seen, (c,))
-            x1 = seen[idx - 1][1] if idx > 0 else None
-            x2 = seen[idx][1] if idx < depth else None
-            node = node.get((x1, x2))
+            k = bisect_left(seen, c)
+            node = node.get(k)
             if node is None:
                 break
-            seen.insert(idx, (c, depth + 1))
+            seen.insert(k, c)
             depth += 1
         if depth == b:
             lo = e - m + 1

@@ -40,6 +40,11 @@ def oracle_rep_pairs(values):
     return out
 
 
+def oracle_insertion_ranks(values):
+    """Per symbol, how many of the symbols before it are smaller."""
+    return [sum(1 for u in values[:j] if u < v) for j, v in enumerate(values)]
+
+
 def oracle_border_table(values):
     """Longest proper order-isomorphic border of every prefix, by ranks."""
     m = len(values)

@@ -146,6 +146,27 @@ class TestSearch:
         code, _, _ = run(capsys, "search", "--algo", "bogus", p, p)
         assert code == EX_USAGE
 
+    def test_underscore_and_plus_in_pattern_are_data_errors(self, tmp_path, capsys):
+        # int() would read these as 10 and 5
+        p = write(tmp_path / "p.txt", "1_0 +5 -2\n")
+        t = write(tmp_path / "t.txt", "3 1 4 2\n")
+        code, out, err = run(capsys, "search", p, t)
+        assert code == EX_DATA and out == ""
+        assert p in err
+
+    def test_underscore_in_text_is_data_error(self, tmp_path, capsys):
+        p = write(tmp_path / "p.txt", "1 2\n")
+        t = write(tmp_path / "t.txt", "3 1_1 4 2\n")
+        code, out, err = run(capsys, "search", p, t)
+        assert code == EX_DATA and out == ""
+        assert t in err
+
+    def test_underscore_and_plus_in_comments_are_allowed(self, tmp_path, capsys):
+        p = write(tmp_path / "p.txt", "# +1_0\n2 1 # a_b + c\n")
+        t = write(tmp_path / "t.txt", "9 5 # 1_1\n3\n")
+        code, out, _ = run(capsys, "search", p, t)
+        assert code == EX_OK and out == "1\n2\n"
+
 
 class TestMultisearch:
     def test_example(self, tmp_path, capsys):
@@ -175,6 +196,13 @@ class TestMultisearch:
         t = write(tmp_path / "t.txt", "3 1 4 2\n")
         code, out, _ = run(capsys, "multisearch", pats, t)
         assert code == EX_OK and len(out.splitlines()) == 3
+
+    def test_plus_in_pattern_line_is_data_error(self, tmp_path, capsys):
+        pats = write(tmp_path / "pats.txt", "2 1\n1 2 3 +4\n")
+        t = write(tmp_path / "t.txt", "3 1 4 2 5\n")
+        code, out, err = run(capsys, "multisearch", pats, t)
+        assert code == EX_DATA and out == ""
+        assert pats in err
 
     def test_duplicate_text_value_is_data_error(self, tmp_path, capsys):
         pats = write(tmp_path / "pats.txt", "1 2\n2 1\n")

@@ -11,7 +11,7 @@ from opmatch.core import naive_search, rep_table
 from opmatch.sublinear import (FallbackRequired, build_factor_tree, choose_b,
                                search_or_fallback, sublinear_search)
 
-from conftest import oracle_oi, oracle_rep_pairs
+from conftest import oracle_insertion_ranks, oracle_oi, random_distinct
 
 
 def positions(occ):
@@ -21,11 +21,27 @@ def positions(occ):
 def match_depth(root, symbols):
     """How many of the given symbols (in read order) the tree accepts."""
     node = root
-    for depth, pair in enumerate(oracle_rep_pairs(symbols)):
-        node = node.get(pair)
+    for depth, rank in enumerate(oracle_insertion_ranks(symbols)):
+        node = node.get(rank)
         if node is None:
             return depth
     return len(symbols)
+
+
+def oracle_factor_tree(values, b):
+    """Nested dicts of the reversed pattern's length-b factors, from definitions."""
+    rev = list(values)[::-1]
+    root: dict = {}
+    for s in range(len(rev) - b + 1):
+        node = root
+        for rank in oracle_insertion_ranks(rev[s:s + b]):
+            node = node.setdefault(rank, {})
+    return root
+
+
+def zigzag(m):
+    """0, m, 1, m-1, 2, ...: every symbol turns the direction."""
+    return [i // 2 if i % 2 == 0 else m - i // 2 for i in range(m)]
 
 
 # running example padded to m=16 with a fixed tail (kept well above/below
@@ -79,7 +95,25 @@ class TestFactorTree:
         assert len(root) == 1 and len(first) == 2
 
     def test_b_one_accepts_any_symbol(self):
-        assert list(build_factor_tree([5, 1, 3], 1)) == [(None, None)]
+        assert list(build_factor_tree([5, 1, 3], 1)) == [0]
+
+    def test_equals_tree_built_from_definitions(self):
+        rng = random.Random(63)
+        lengths = [1, 2, 3, 5, 15, 16, 17, 64, 300,
+                   *(rng.randint(4, 300) for _ in range(6))]
+        for m in lengths:
+            shapes = {
+                "random": random_distinct(rng, m, -10**12, 10**12),
+                "ascending": list(range(m)),
+                "descending": list(range(m, 0, -1)),
+                "zigzag": zigzag(m),
+            }
+            widths = {b for b in (1, 2, choose_b(m), m)
+                      if b is not None and b <= m}
+            for kind, vals in shapes.items():
+                for b in sorted(widths):
+                    assert build_factor_tree(vals, b) == oracle_factor_tree(vals, b), \
+                        (kind, m, b)
 
     def test_accepts_exactly_reversed_factors(self):
         rng = random.Random(60)
@@ -151,6 +185,7 @@ class TestSublinearSearch:
         # when the backward read is rejected, no occurrence overlaps the
         # window's tail while starting inside the verification range
         rng = random.Random(62)
+        rejected = accepted = 0
         for _ in range(40):
             m = rng.randint(16, 40)
             n = rng.randint(2 * m, 600)
@@ -163,9 +198,14 @@ class TestSublinearSearch:
             while e <= n:
                 backward = tuple(t[e - 1 - d] for d in range(b))
                 if match_depth(tree, backward) < b:
+                    rejected += 1
                     lo, hi = e - m + 1, min(e - b + 1, n - m + 1)
                     assert not truth.intersection(range(lo, hi + 1))
+                else:
+                    accepted += 1
                 e += m - b + 1
+        # both branches ran: the tree neither rejects nor accepts everything
+        assert rejected > 0 and accepted > 0
 
     def test_mean_reads_decrease_with_pattern_length(self):
         n = 100_000
