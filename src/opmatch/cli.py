@@ -7,6 +7,7 @@ All positions printed are 1-based.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from itertools import islice
 from typing import Iterable, Optional, Sequence
@@ -32,30 +33,29 @@ def _read_text(path: str) -> str:
         raise InputError(f"{path}: {exc}") from None
 
 
-def _check_decimal(path: str, text: str) -> None:
-    """Reject '1_0' and '+5' outside comments; int() would read them.
+# A comment runs to the next ASCII line break of str.splitlines.
+_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c-\x1e]*")
 
-    One scan of the whole text settles the usual file; only a file that
-    holds '_' or '+' somewhere has its tokens looked at.
+
+def _decimal_body(path: str, text: str) -> str:
+    """The text with its comments removed.
+
+    A '_' or '+' outside a comment is malformed data, although int()
+    would read '1_0' and '+5'.
     """
-    if "_" not in text and "+" not in text:
-        return
-    for line in text.splitlines():
-        for tok in line.split("#", 1)[0].split():
-            if "_" in tok or "+" in tok:
-                raise InputError(f"{path}: invalid integer {tok!r}")
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    if "_" in text or "+" in text:
+        tok = next(tok for tok in text.split() if "_" in tok or "+" in tok)
+        raise InputError(f"{path}: invalid integer {tok!r}")
+    return text
 
 
 def _read_tokens(path: str) -> list:
     """Whitespace-separated decimal integers; '#' starts a comment."""
-    text = _read_text(path)
-    _check_decimal(path, text)
-    tokens = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0]
-        tokens.extend(body.split())
+    text = _decimal_body(path, _read_text(path))
     try:
-        return [int(tok) for tok in tokens]
+        return list(map(int, text.split()))
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -63,7 +63,9 @@ def _read_tokens(path: str) -> list:
 def _read_pattern_lines(path: str) -> list:
     """One pattern per line; comment-only lines are skipped."""
     text = _read_text(path)
-    _check_decimal(path, text)
+    # checked as a whole, but read from the raw lines: a comment-only line
+    # is skipped, while a blank one is an error
+    _decimal_body(path, text)
     patterns = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0]
@@ -109,7 +111,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_search(args) -> int:
-    pattern = rep_table(validate_seq(_read_tokens(args.pattern), require_nonempty=True))
+    pattern = rep_table(_read_tokens(args.pattern))  # rep_table validates
     text = validate_seq(_read_tokens(args.text))
     occ, stats = bench_mod.ENGINES[args.algo](pattern, text)
     if args.algo == "sublinear" and choose_b(len(pattern)) is None and not args.quiet:
@@ -176,9 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.set_defaults(func=cmd_search)
 
     p_multi = sub.add_parser("multisearch",
-                             help="search many patterns (one per line) at once")
+                             help="search many patterns (one per line) at once; "
+                                  "prints position<TAB>pattern index")
     p_multi.add_argument("--stats", action="store_true")
-    p_multi.add_argument("patterns")
+    p_multi.add_argument("patterns",
+                         help="one pattern per line; the pattern index is the "
+                              "1-based ordinal among pattern lines, "
+                              "comment-only lines not counted")
     p_multi.add_argument("text")
     p_multi.set_defaults(func=cmd_multisearch)
 

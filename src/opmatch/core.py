@@ -105,15 +105,19 @@ def validate_seq(raw: Iterable[int], require_nonempty: bool = False) -> tuple:
 
     Raises DuplicateValue with the two offending 1-based indices, or
     EmptyInput when ``require_nonempty`` is set and the sequence is empty.
+    Comparing the size of the value set with the length settles a valid
+    sequence at C speed; only a sequence that fails that test is scanned
+    for the first repeated value and the position it repeats.
     """
     values = tuple(raw)
     if require_nonempty and not values:
         raise EmptyInput("pattern must contain at least one integer")
-    seen: dict = {}
-    for i, v in enumerate(values):
-        if v in seen:
-            raise DuplicateValue(seen[v] + 1, i + 1, v)
-        seen[v] = i
+    if len(set(values)) < len(values):
+        seen: dict = {}
+        for i, v in enumerate(values):
+            if v in seen:
+                raise DuplicateValue(seen[v] + 1, i + 1, v)
+            seen[v] = i
     return values
 
 

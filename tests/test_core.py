@@ -39,6 +39,16 @@ class TestValidateSeq:
         assert (exc.value.index_a, exc.value.index_b) == (1, 3)
         assert exc.value.value == 3
 
+    @pytest.mark.parametrize("values, indices", [
+        ([1, 2, 2, 1], (2, 3)),  # the first repeat found, not the widest
+        ([5, 7, 5, 7], (1, 3)),
+        (list(range(1, 100_000)) + [40_000], (40_000, 100_000)),
+    ])
+    def test_duplicate_reports_first_repeat(self, values, indices):
+        with pytest.raises(DuplicateValue) as exc:
+            validate_seq(values)
+        assert (exc.value.index_a, exc.value.index_b) == indices
+
     def test_empty_pattern_rejected(self):
         with pytest.raises(EmptyInput):
             validate_seq([], require_nonempty=True)

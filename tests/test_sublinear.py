@@ -185,26 +185,41 @@ class TestSublinearSearch:
         # when the backward read is rejected, no occurrence overlaps the
         # window's tail while starting inside the verification range
         rng = random.Random(62)
-        rejected = accepted = 0
+        rejected = accepted = covering = 0
         for _ in range(40):
             m = rng.randint(16, 40)
             n = rng.randint(2 * m, 600)
-            p = rep_table(random_permutation(m, rng.getrandbits(30)))
-            t = random_permutation(n, rng.getrandbits(30))
+            values = random_permutation(m, rng.getrandbits(30))
+            p = rep_table(values)
+            t = list(random_permutation(n, rng.getrandbits(30)))
+            # plant order-isomorphic copies a*v + c in disjoint slots; each
+            # copy's values lie above the text's and the earlier copies'
+            copies = rng.randint(1, min(3, n // m))
+            slot = n // copies
+            a = rng.randint(1, 3)
+            for k in range(copies):
+                at = k * slot + rng.randint(0, slot - m)
+                c = n + k * 3 * m
+                t[at:at + m] = [a * v + c for v in values]
+            assert len(set(t)) == n
             b = choose_b(m)
             tree = build_factor_tree(p, b)
             truth = set(positions(naive_search(p, t)))
             e = m
             while e <= n:
                 backward = tuple(t[e - 1 - d] for d in range(b))
+                lo, hi = e - m + 1, min(e - b + 1, n - m + 1)
+                holds = bool(truth.intersection(range(lo, hi + 1)))
+                covering += holds
                 if match_depth(tree, backward) < b:
                     rejected += 1
-                    lo, hi = e - m + 1, min(e - b + 1, n - m + 1)
-                    assert not truth.intersection(range(lo, hi + 1))
+                    assert not holds
                 else:
                     accepted += 1
                 e += m - b + 1
-        # both branches ran: the tree neither rejects nor accepts everything
+        # the planted copies put occurrences in range of some windows, and
+        # the tree neither rejects nor accepts everything
+        assert covering > 0
         assert rejected > 0 and accepted > 0
 
     def test_mean_reads_decrease_with_pattern_length(self):
