@@ -11,7 +11,6 @@ alongside their occurrence lists.
 from .core import (DuplicateValue, EmptyInput, InputError, Occurrence,
                    Pattern, PatternLongerThanText, RepPair, SearchStats,
                    naive_search, rank_normalize, rep_table, validate_seq)
-from .predset import KeyAbsent, KeyOutOfUniverse, KeyPresent, PredSet
 from .mp_automaton import MpAutomaton, build_mp, mp_search
 from .forward_automaton import (ForwardAutomaton, IntervalTransition,
                                 build_forward, forward_search)
@@ -25,9 +24,8 @@ from .bench import (BenchConfig, BenchRecord, random_permutation, run_bench,
 __all__ = [
     "AcAutomaton", "AcNode", "BenchConfig", "BenchRecord", "DuplicateValue",
     "EmptyInput", "FallbackRequired", "ForwardAutomaton", "InputError",
-    "IntervalTransition", "KeyAbsent", "KeyOutOfUniverse", "KeyPresent",
-    "MpAutomaton", "Occurrence", "Pattern", "PatternLongerThanText",
-    "PatternSet", "PredSet", "RepPair", "SearchStats", "ac_search",
+    "IntervalTransition", "MpAutomaton", "Occurrence", "Pattern",
+    "PatternLongerThanText", "PatternSet", "RepPair", "SearchStats", "ac_search",
     "build_ac", "build_factor_tree", "build_forward", "build_mp", "choose_b",
     "forward_search", "make_pattern_set", "mp_search", "naive_search",
     "random_permutation", "rank_normalize", "rep_table", "run_bench",

@@ -5,7 +5,8 @@ pattern prefix of length j".  The forward transition out of state j is
 labelled by the rep pair of prefix j+1; a failure link sends j to the
 longest proper prefix that is order-isomorphic to a suffix of prefix j
 (its order-isomorphic border).  Search re-tests the held symbol after each
-failure step, so every text symbol is read exactly once.
+failure step, so every text symbol is read exactly once.  The build is the
+same search run over the pattern itself.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Sequence
 
 from .core import (Occurrence, Pattern, PatternLike, PatternLongerThanText,
                    SearchStats, _rep0, rep_table)
-from .predset import PredSet
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,8 @@ class MpAutomaton:
     ``fail[j]`` (for j in 1..m, index 0 unused) is the length of the
     longest proper order-isomorphic border of the length-j prefix; forward
     labels are implied by ``pattern.rep``.  Immutable after build, safe for
-    concurrent searches.  ``build_ops`` records how many predecessor-set
-    operations the construction performed.
+    concurrent searches.  ``build_ops`` counts the forward tests and
+    failure steps of the construction, at most 3(m-1).
     """
 
     pattern: Pattern
@@ -35,42 +35,33 @@ class MpAutomaton:
 
 
 def build_mp(p: PatternLike) -> MpAutomaton:
-    """Build failure links with a sliding window in a predecessor set.
+    """Build failure links by searching the pattern in itself.
 
-    Extending the border of prefix j-1 by symbol j is tested by querying
-    the strict predecessor and successor of symbol j's rank within the set
-    holding exactly the current candidate border window, re-basing their
-    positions to window-relative ones, and comparing the pair against the
-    rep pair of the candidate prefix.  On a mismatch the candidate border
-    shrinks along the failure chain and the symbols that fall out of the
-    window are deleted from the set.
+    Reading symbols 2..m from state 0, the state after symbol j is the
+    longest proper border of prefix j.  From state i, symbol j extends the
+    border when it lies between the border-window symbols addressed by the
+    rep pair of prefix i+1, the test ``mp_search`` makes; otherwise the
+    state follows its failure link, already set since it is below j.
     """
     pat = rep_table(p)
+    vals = pat.values
+    reps = _rep0(pat)
     m = len(pat)
-    ranks = pat.ranks
-    rep = pat.rep
     fail = [0] * (m + 1)
+    i = 0
     ops = 0
-    if m >= 2:
-        window = PredSet(m)
-        i = 0  # current candidate border length, window = positions j-i..j-1
-        for j in range(2, m + 1):
-            rj = ranks[j - 1]
-            while True:
-                pred, succ = window.query_strict(rj)
-                base = j - i - 1  # window-relative position = absolute - base
-                x1 = None if pred is None else pred[1] - base
-                x2 = None if succ is None else succ[1] - base
-                if (x1, x2) == rep[i]:
-                    break
-                k = fail[i]
-                for pos in range(j - i, j - k):  # symbols leaving the window
-                    window.delete(ranks[pos - 1])
-                i = k
-            i += 1
-            fail[j] = i
-            window.insert(rj, j)
-        ops = window.ops
+    for j in range(1, m):  # 0-based index of the symbol read
+        c = vals[j]
+        while True:  # state 0 extends on every symbol
+            x1, x2 = reps[i]
+            ops += 1
+            base = j - i
+            if (x1 is None or vals[base + x1] < c) and (x2 is None or c < vals[base + x2]):
+                i += 1
+                break
+            i = fail[i]
+            ops += 1
+        fail[j + 1] = i
     return MpAutomaton(pat, tuple(fail), ops)
 
 

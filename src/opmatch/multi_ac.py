@@ -8,13 +8,14 @@ classical construction: every pattern is read, from its second symbol on,
 through the automaton built so far, and the node a reader reaches after
 symbol j is the failure link of the pattern's length-j prefix node.  The
 readers advance in rounds, one symbol each, so every link a reader follows
-is already set.  Each reader keeps its border window in a predecessor set
-over its own pattern's ranks, exactly as the single-pattern builder does.
+is already set.
 
 The children of a node have distinct rep pairs over one prefix, so each
 stands for its own gap between adjacent prefix values, and the build also
-lists them sorted by gap.  Searching reads the text in place, as the
-single-pattern search does, binary-searching that list at every step.
+lists them sorted by gap.  One step, ``_read``, finds the child for a
+symbol by binary-searching that list against values in place and follows
+failure links on a miss.  The search runs it over the text, and each
+reader over its own pattern's values, as the single-pattern builder does.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Occurrence, PatternLike, SearchStats, rep_table
-from .predset import PredSet
+from .core import EmptyInput, Occurrence, PatternLike, SearchStats, rep_table
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class PatternSet:
 def make_pattern_set(seqs: Iterable[PatternLike]) -> PatternSet:
     patterns = tuple(rep_table(s) for s in seqs)
     if not patterns:
-        raise ValueError("pattern set must contain at least one pattern")
+        raise EmptyInput("pattern set must contain at least one pattern")
     return PatternSet(patterns)
 
 
@@ -67,12 +67,13 @@ class AcAutomaton:
 def build_ac(ps: PatternSet) -> AcAutomaton:
     """Trie of the normalized patterns with failure links and outputs.
 
-    build_ops is the number of predecessor-set operations of all readers.
+    build_ops counts the child lookups and failure steps of all readers,
+    as ``build_mp`` counts them for one pattern.
     """
     root = AcNode(0)
     root.fail = root
     node_count = 1
-    readers = []  # [path from the root, ranks, border window, current node]
+    readers = []  # [path from the root, values, current node]
     for pid, p in enumerate(ps.patterns):
         node = root
         path = [root]
@@ -84,44 +85,60 @@ def build_ac(ps: PatternSet) -> AcAutomaton:
             node = child
             path.append(node)
         node.outputs.append(pid)
-        readers.append([path, p.ranks, PredSet(len(p)), root])
-    windows = [r[2] for r in readers]
-    for path, ranks, _, _ in readers:  # a node's patterns order its prefix alike
+        readers.append([path, p.values, root])
+    for p, (path, _, _) in zip(ps.patterns, readers):
+        ranks = p.ranks  # a node's patterns order its prefix alike
         for node in path:
             if node.children and not node.kids:
                 node.kids = tuple(sorted(
                     ((x1, x2, child) for (x1, x2), child in node.children.items()),
                     key=lambda kid: 0 if kid[0] is None else ranks[kid[0] - 1]))
 
+    build_ops = 0
     j = 1
     while readers:
         for r in readers:
-            path, ranks, window, f = r
+            path, values, f = r
             if j > 1:  # read symbol j from the node of symbols 2..j-1
-                alpha = ranks[j - 1]
-                while True:
-                    pred, succ = window.query_strict(alpha)
-                    base = j - f.depth - 1
-                    x1 = None if pred is None else pred[1] - base
-                    x2 = None if succ is None else succ[1] - base
-                    child = f.children.get((x1, x2))
-                    if child is not None:
-                        break
-                    nxt = f.fail
-                    for pos in range(j - f.depth, j - nxt.depth):
-                        window.delete(ranks[pos - 1])
-                    f = nxt
-                window.insert(alpha, j)
-                f = r[3] = child
+                f, tests = _read(f, values, j - 1)
+                build_ops += tests
+                r[2] = f
             v = path[j]
             if v.fail is None:
                 v.fail = f
                 v.all_outputs = tuple(v.outputs) + f.all_outputs
         j += 1
         readers = [r for r in readers if len(r[0]) > j]
-
-    build_ops = sum(w.ops for w in windows)
     return AcAutomaton(root, ps, node_count, build_ops)
+
+
+def _read(node: AcNode, t: Sequence[int], i0: int):
+    """Node reached by reading t[i0] from node, and the tests it took.
+
+    The symbols before t[i0] must spell node's string.  Each lookup
+    binary-searches node.kids (left if ``t[base+x1] > c``, right if
+    ``t[base+x2] < c``, else that child); a miss follows the failure link
+    and looks again.  The root's one child takes every symbol, so the loop
+    ends.  Tests count the lookups plus the failure steps.
+    """
+    c = t[i0]
+    tests = 0
+    while True:
+        tests += 1
+        base = i0 - node.depth - 1
+        kids = node.kids
+        lo, hi = 0, len(kids)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            x1, x2, child = kids[mid]
+            if x1 is not None and t[base + x1] > c:
+                hi = mid
+            elif x2 is not None and t[base + x2] < c:
+                lo = mid + 1
+            else:
+                return child, tests
+        node = node.fail
+        tests += 1
 
 
 def ac_search(a: AcAutomaton, t: Sequence[int]):
@@ -129,35 +146,17 @@ def ac_search(a: AcAutomaton, t: Sequence[int]):
 
     t must hold pairwise-distinct values (see ``validate_seq``); a repeated
     value gives undefined results.  Output ids cover every order-isomorphic
-    duplicate of a matched pattern.  Reads the text in place, binary-searching
-    each node's children sorted by gap.  transitions_taken counts child
-    lookups plus failure steps, as ``mp_search`` does on one pattern.
+    duplicate of a matched pattern.  Reads the text in place with ``_read``.
+    transitions_taken counts child lookups plus failure steps, as
+    ``mp_search`` does on one pattern.
     """
     lengths = [len(p) for p in a.pattern_set.patterns]
     node = a.root
     trans = 0
     out = []
-    for i0, c in enumerate(t):
-        while True:
-            trans += 1
-            base = i0 - node.depth - 1
-            kids = node.kids
-            lo, hi = 0, len(kids)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                x1, x2, child = kids[mid]
-                if x1 is not None and t[base + x1] > c:
-                    hi = mid
-                elif x2 is not None and t[base + x2] < c:
-                    lo = mid + 1
-                else:
-                    break
-            if lo < hi or node.depth == 0:  # a kid matched, or the root missed
-                break
-            node = node.fail
-            trans += 1
-        if lo < hi:
-            node = child
+    for i0 in range(len(t)):
+        node, tests = _read(node, t, i0)
+        trans += tests
         for pid in node.all_outputs:
             out.append(Occurrence(i0 - lengths[pid] + 2, pid))
         if not node.children:  # dead end, hop before the next symbol

@@ -4,8 +4,8 @@ Two-level bitset: keys 1..capacity live in 64-bit words, and a summary
 integer has one bit per non-empty word.  Predecessor and successor queries
 scan at most one word plus the summary, so at the universe sizes used here
 (pattern lengths) every operation is a handful of machine-word steps.
-The structure is the shared engine behind the border-window bookkeeping
-of the failure-link builders; the searches do not use it.
+No engine uses it; perfbench times it (``predset.op_ns``) by replaying a
+sliding window of a text's ranks through one instance.
 
 Each key carries one payload (here always a position).  Instances count
 their operations in ``ops`` so build-cost bounds can be asserted in tests.

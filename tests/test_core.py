@@ -233,9 +233,10 @@ class TestBorderTable:
 def test_public_names_resolve_and_removed_names_are_gone():
     for name in opmatch.__all__:
         getattr(opmatch, name)
+    predset = importlib.import_module("opmatch.predset")
     namespaces = [vars(opmatch)]
     namespaces += [vars(cls) for cls in (opmatch.MpAutomaton, opmatch.ForwardAutomaton,
-                                         opmatch.PatternSet, opmatch.PredSet)]
+                                         opmatch.PatternSet, predset.PredSet)]
     namespaces += [vars(importlib.import_module(f"opmatch.{info.name}"))
                    for info in pkgutil.iter_modules(opmatch.__path__)]
     for name in ("build_forward_lazy", "as_pattern", "WindowPlan",
@@ -245,3 +246,7 @@ def test_public_names_resolve_and_removed_names_are_gone():
                  "normalize_set", "query", "__contains__"):
         assert name not in opmatch.__all__
         assert not any(name in ns for ns in namespaces), name
+    # no engine uses the predecessor set, so the package does not export it
+    for name in ("PredSet", "KeyAbsent", "KeyOutOfUniverse", "KeyPresent"):
+        assert name not in opmatch.__all__
+        assert name not in vars(opmatch), name

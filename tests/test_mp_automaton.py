@@ -42,7 +42,21 @@ class TestBuildMp:
         rng = random.Random(30)
         for _ in range(300):
             vals = random_distinct(rng, rng.randint(1, 256))
-            assert build_mp(vals).fail[1:] == oi_border_table(vals)
+            a = build_mp(vals)
+            assert a.fail[1:] == oi_border_table(vals)
+            assert a.build_ops <= 3 * (len(vals) - 1)
+        # shaped patterns whose borders are long, so the build walks long
+        # failure chains: monotone, zig-zag and block-periodic ones
+        for m in (2, 3, 17, 64, 255, 256):
+            block = random_permutation(rng.randint(2, 6), rng.getrandbits(30))
+            shaped = [list(range(m)), list(range(m, 0, -1)),
+                      [k // 2 if k % 2 == 0 else m + k // 2 for k in range(m)],
+                      [len(block) * (k // len(block)) + block[k % len(block)]
+                       for k in range(m)]]
+            for vals in shaped:
+                a = build_mp(vals)
+                assert a.fail[1:] == oi_border_table(vals), vals
+                assert a.build_ops <= 3 * (m - 1), (vals, a.build_ops)
 
     def test_build_ops_linear(self):
         m = 5000

@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
+import pytest
+
 from opmatch.bench import random_permutation
-from opmatch.core import (Occurrence, RepPair, naive_search, rank_normalize,
-                          rep_table)
+from opmatch.core import (EmptyInput, Occurrence, RepPair, naive_search,
+                          rank_normalize, rep_table)
 from opmatch.mp_automaton import build_mp, mp_search
 from opmatch.multi_ac import ac_search, build_ac, make_pattern_set
 
@@ -23,14 +25,18 @@ def per_pattern_oracle(ps, t):
     return out
 
 
-def shaped_texts(n, rng):
-    """A random, an ascending, a descending and a zig-zag text of length n.
+def shaped_patterns(m):
+    """An ascending, a descending and a zig-zag sequence of length m.
 
     The zig-zag alternates a low and a high track, both rising.
     """
-    zigzag = [k // 2 if k % 2 == 0 else n + k // 2 for k in range(n)]
-    return [random_permutation(n, rng.getrandbits(30)), list(range(1, n + 1)),
-            list(range(n, 0, -1)), zigzag]
+    return [list(range(1, m + 1)), list(range(m, 0, -1)),
+            [k // 2 if k % 2 == 0 else m + k // 2 for k in range(m)]]
+
+
+def shaped_texts(n, rng):
+    """A random text of length n, then the three shaped sequences."""
+    return [random_permutation(n, rng.getrandbits(30))] + shaped_patterns(n)
 
 
 def collect_nodes(root):
@@ -55,6 +61,18 @@ def node_string(auto, node):
     raise AssertionError("node lies on no pattern's path")
 
 
+def assert_same_build(a_mp, a_ac):
+    """On one pattern the trie is a path: the AC build takes the MP build's
+    tests, and the fail depths along the path are the MP failure links."""
+    assert a_ac.build_ops == a_mp.build_ops, a_mp.pattern.values
+    depths = []
+    node = a_ac.root
+    while node.children:
+        (node,) = node.children.values()
+        depths.append(node.fail.depth)
+    assert tuple(depths) == a_mp.fail[1:], a_mp.pattern.values
+
+
 class TestNormalizeSet:
     def test_running_example(self):
         ps = make_pattern_set([[4, 12, 6, 16, 10]])
@@ -70,6 +88,11 @@ class TestNormalizeSet:
     def test_descending_pair(self):
         ps = make_pattern_set([[2, 1]])
         assert ps.patterns[0].rep == (RepPair(None, None), RepPair(None, 1))
+
+    def test_empty_set_and_empty_pattern_raise_empty_input(self):
+        for seqs in ([], [[1, 2], []]):
+            with pytest.raises(EmptyInput):
+                make_pattern_set(seqs)
 
 
 class TestBuildAc:
@@ -116,6 +139,13 @@ class TestBuildAc:
             base = random_permutation(rng.randint(2, 12), rng.getrandbits(30))
             seqs = [base[:rng.randint(1, len(base))] for _ in range(rng.randint(1, 4))]
             sets.append(seqs + [base, tuple(5 * v + 3 for v in base)])
+        # monotone and zig-zag patterns, whose borders are long, with some of
+        # their prefixes: readers walk long failure chains across patterns
+        for m in (2, 5, 13, 27, 40):
+            shaped = shaped_patterns(m)
+            sets.append(shaped)
+            sets.append([p[:rng.randint(1, m)] for p in shaped for _ in range(2)]
+                        + [shaped[rng.randrange(3)]])
         for seqs in sets:
             auto = build_ac(make_pattern_set(seqs))
             nodes = collect_nodes(auto.root)
@@ -200,16 +230,22 @@ class TestAcSearch:
             n = rng.randint(m, 256)
             p = rep_table(random_permutation(m, rng.getrandbits(30)))
             a_mp, a_ac = build_mp(p), build_ac(make_pattern_set([p]))
+            assert_same_build(a_mp, a_ac)
             for t in shaped_texts(n, rng):
                 _, st_mp = mp_search(a_mp, t)
                 _, st_ac = ac_search(a_ac, t)
                 assert st_ac.transitions_taken == st_mp.transitions_taken, (p.values, t)
                 assert st_ac.symbols_read == st_mp.symbols_read
         for p in ([1, 2, 3, 4], [4, 3, 2, 1], [1, 3, 2, 4], [2, 1, 4, 3, 6, 5]):
+            a_mp, a_ac = build_mp(rep_table(p)), build_ac(make_pattern_set([p]))
+            assert_same_build(a_mp, a_ac)
             for t in shaped_texts(300, rng):
-                _, st_mp = mp_search(build_mp(rep_table(p)), t)
-                _, st_ac = ac_search(build_ac(make_pattern_set([p])), t)
+                _, st_mp = mp_search(a_mp, t)
+                _, st_ac = ac_search(a_ac, t)
                 assert st_ac.transitions_taken == st_mp.transitions_taken, (p, t)
+        for m in (1, 2, 7, 40, 129):
+            for p in shaped_patterns(m):
+                assert_same_build(build_mp(p), build_ac(make_pattern_set([p])))
 
     def test_every_gap_of_every_short_permutation(self):
         # all 33 permutations of length 1..4: every node of depth < 4 has a
