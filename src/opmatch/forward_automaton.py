@@ -2,17 +2,27 @@
 
 Where the failure-link automaton may re-test one text symbol several times,
 this automaton resolves every (state, symbol-order-class) pair to a single
-consuming transition.  At state x < m the x prefix symbols split the value
-axis into x+1 order classes; each class not accepted by the forward label
-is sent to the target found by simulating the failure-link descent with a
-virtual symbol planted inside that class.  Every distinct target gets one
-backward transition labelled by the hull of its classes.  A hull may also
-span classes of other targets: backward transitions are tested in list
-order (increasing jump length) after the forward move, and the first that
+consuming transition.  At state x < m the x window symbols split the value
+axis into x+1 order classes, and the forward label accepts one of them.
+The window of fail[x] is the suffix of x's window, so every class of x lies
+inside one class of fail[x], and every class c that x's forward label does
+not accept goes where fail[x] sends it: delta(x, c) = delta(fail[x], c),
+the identity behind the failure-link representation.  State x therefore
+inherits its backward moves: first fail[x]'s forward label, with target
+fail[x]+1, then fail[x]'s own list.  Of these, only the one for
+fail[x+1], where fail[x] sends x's forward class, can be left unreached
+by the other classes of x; the build drops it then.  Each label is the class of some
+state on x's failure chain, a hull of fail[x]'s classes, so it may span
+classes of other targets: backward transitions are tested in list order
+(increasing jump length) after the forward move, and the first that
 accepts is taken, which resolves every class to its own target.  The
 accepting state m has no transitions of its own; after a match the search
-moves to fail[m], as the failure-link automaton does.  This keeps the total
-within 4m-5 transitions for m >= 2.
+moves to fail[m], as the failure-link automaton does.
+
+Every state gets one backward transition per distinct target of its
+non-forward classes.  Random patterns stay within 4m-5 transitions in
+total for m >= 2, but the size is not linear in general: a two-track
+zig-zag (both tracks rising, every low below every high) has about m*m/8.
 
 Interval labels are stored as window positions and resolved against the
 live text window while searching, so transitions never mention concrete
@@ -22,7 +32,6 @@ the search to at most 2n transition tests.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -36,9 +45,9 @@ class IntervalTransition(NamedTuple):
 
     ``low``/``high`` are 1-based positions in the current window (None for
     an unbounded side); ``target`` is the state reached after consuming the
-    symbol.  The interval is the hull of the order classes sent to
-    ``target`` and may include classes of other targets, so it is taken
-    only when no earlier transition of the state's list accepts.
+    symbol.  The interval holds every order class sent to ``target`` and
+    may include classes of other targets, so it is taken only when no
+    earlier transition of the state's list accepts.
     """
 
     low: Optional[int]
@@ -53,114 +62,74 @@ class ForwardAutomaton:
     ``backward[x]`` lists state x's backward transitions in the order the
     search tests them; ``_rep0`` holds the forward labels as 0-based window
     positions.  build_forward fills both up front, so the automaton is
-    immutable and concurrent searches are safe.
+    immutable and concurrent searches are safe.  ``build_ops`` counts the
+    entries the build copies from failure links plus the entries and steps
+    of its dead-entry checks; it never exceeds 3 * transition_count().
     """
 
     pattern: Pattern
     fail: tuple
     backward: tuple
     _rep0: list = field(repr=False)
+    build_ops: int = field(default=0, repr=False)
 
     def transition_count(self) -> int:
         """Forward transitions plus all backward ones."""
         return len(self.pattern) + sum(len(lst) for lst in self.backward)
 
 
-def _state_transitions(mp: MpAutomaton, d2: list, x: int, vals2: list,
-                       positions: list) -> list:
-    """Resolve all order classes of state x to one hull move per target.
-
-    Classes are indexed 0..x in increasing value order; class r stands
-    for a symbol falling between the (r-1)-th and r-th smallest window
-    values (doubled-rank virtual value vals2[r-1] + 1, or below/above
-    everything at the ends).  All classes descend the same failure
-    chain, and at each chain state q the accepting classes form one
-    contiguous range, so the descent processes whole index segments: a
-    segment's part inside that range commits to target q+1, the rest
-    falls through to the next chain state.  The committed parts of one
-    chain state are stored as their hull, which lies inside q's
-    accepting range; no class left for a later (lower) target can lie
-    in it, so the first hull in list order that accepts a symbol is its
-    class's own.  The descent visits targets in decreasing order, which
-    is the increasing jump order the search tests them in.  State m
-    gets no moves: the search delegates it to fail[m].
-    """
-    rep = mp.pattern.rep
-    if x == len(rep):
-        return []
-    fail = mp.fail
-    segments = []
-    x1, x2 = rep[x]  # forward label of state x, its class gets no move
-    if x1 is None:
-        rf = 0
-    elif x2 is None:
-        rf = x
-    else:
-        rf = bisect_left(vals2, d2[x1]) + 1
-    if rf > 0:
-        segments.append((0, rf - 1))
-    if rf < x:
-        segments.append((rf + 1, x))
-    hulls = []
-    q = fail[x]
-    while segments:
-        if q == 0:
-            hulls.append((segments[0][0], segments[-1][1], 1))
-            break
-        k, ell = rep[q]  # rep pair of prefix q+1
-        base = x - q  # window position d maps to pattern position base+d
-        # class r passes iff its virtual value lies in (w1, w2)
-        if k is None:
-            lo = 0
-        else:
-            lo = bisect_left(vals2, d2[base + k]) + 1
-        if ell is None:
-            hi = x
-        else:
-            hi = bisect_left(vals2, d2[base + ell])
-        first = last = None
-        remaining = []
-        for a, b in segments:
-            ca = a if a > lo else lo
-            cb = b if b < hi else hi
-            if ca <= cb:
-                if first is None:
-                    first = ca
-                last = cb
-                if a < ca:
-                    remaining.append((a, ca - 1))
-                if cb < b:
-                    remaining.append((cb + 1, b))
-            else:
-                remaining.append((a, b))
-        if first is not None:
-            hulls.append((first, last, q + 1))
-        segments = remaining
-        q = fail[q]
-    return [
-        IntervalTransition(None if a == 0 else positions[a - 1],
-                           None if b == x else positions[b],
-                           target)
-        for a, b, target in hulls
-    ]
-
-
 def build_forward(a: MpAutomaton) -> ForwardAutomaton:
-    """Expand every state's backward transitions up front."""
+    """Inherit every state's backward transitions from its failure link.
+
+    While building, a label bound is an offset back from the window's last
+    symbol (None for an unbounded side: below everything as a low end,
+    above everything as a high end), so the list of q = fail[x] holds at x
+    unchanged.  The only entry that may be dead at x is the one for
+    fail[x+1], where q sends x's forward class.  When a bound of that class
+    lies outside q's window, the class of q around it holds other classes
+    of x, which reach fail[x+1] too.  Otherwise the entry is dead when x's
+    forward class and the labels listed before it tile its label.  Labels
+    are classes of states on x's failure chain, so any two are nested or
+    disjoint, and of two that share a low end the later one is the wider:
+    mapping each low end to the last high end seen keeps the widest, and
+    the tiling is a walk from low end to high end.
+    """
     pat = a.pattern
-    # doubled ranks by 1-based position; odd virtual values fall strictly
-    # between two window values without ever colliding with one
-    d2 = [0] + [2 * r for r in pat.ranks]
-    vals2: list = []
-    positions: list = []
-    # state 0 needs no backward move: its forward label accepts anything
-    backward = [[]]
-    for x in range(1, len(pat) + 1):
-        idx = bisect_left(vals2, d2[x])
-        vals2.insert(idx, d2[x])
-        positions.insert(idx, x)
-        backward.append(_state_transitions(a, d2, x, vals2, positions))
-    return ForwardAutomaton(pat, a.fail, tuple(backward), _rep0(pat))
+    rep = pat.rep
+    fail = a.fail
+    inherited: list = [[]]
+    backward: list = [[]]
+    ops = 0
+    for x in range(1, len(pat)):
+        q = fail[x]
+        k, ell = rep[q]
+        moves = [(None if k is None else q - k,
+                  None if ell is None else q - ell, q + 1)] + inherited[q]
+        ops += len(moves)
+        x1, x2 = rep[x]
+        if (x1 is None or x1 > x - q) and (x2 is None or x2 > x - q):
+            shadowed = fail[x + 1]
+            ends = {None if x1 is None else x - x1: None if x2 is None else x - x2}
+            for i, (low, high, target) in enumerate(moves):
+                if target == shadowed:
+                    break
+                ends[low] = high
+            ops += i
+            end = low
+            while end in ends:
+                end = ends[end]
+                ops += 1
+                if end == high:
+                    del moves[i]
+                    break
+        inherited.append(moves)
+        backward.append([IntervalTransition(None if low is None else x - low,
+                                            None if high is None else x - high,
+                                            target)
+                         for low, high, target in moves])
+    # state m has no moves: the search delegates it to fail[m]
+    backward.append([])
+    return ForwardAutomaton(pat, fail, tuple(backward), _rep0(pat), ops)
 
 
 def forward_search(f: ForwardAutomaton, t: Sequence[int]):

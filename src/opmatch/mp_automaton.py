@@ -86,14 +86,12 @@ def mp_search(a: MpAutomaton, t: Sequence[int]):
     out = []
     for i0 in range(n):
         c = t[i0]
-        while True:
+        while True:  # state 0 extends on every symbol
             x1, x2 = reps[x]
             trans += 1
             base = i0 - x
             if (x1 is None or t[base + x1] < c) and (x2 is None or c < t[base + x2]):
                 x += 1
-                break
-            if x == 0:
                 break
             x = fail[x]
             trans += 1

@@ -28,6 +28,27 @@ def positions(occ):
     return [o.position for o in occ]
 
 
+def chain_shapes(m):
+    """Patterns of length m whose failure chains are long.
+
+    Ascending, descending, an alternating zig-zag (1, 0, 3, 2, ...: each
+    fall followed by a larger rise), and block-periodic patterns of blocks
+    3, 5 and 8, where every block repeats one fixed shape above the block
+    before it.
+    """
+    shapes = [list(range(1, m + 1)), list(range(m, 0, -1)),
+              [k + 1 if k % 2 == 0 else k - 1 for k in range(m)]]
+    for b in (3, 5, 8):
+        block = random_permutation(b, b)
+        shapes.append([b * (k // b) + block[k % b] for k in range(m)])
+    return shapes
+
+
+def two_track_zigzag(m):
+    """Low, high, low, high, ...: both tracks rise, every low < every high."""
+    return [k // 2 if k % 2 == 0 else m + k // 2 for k in range(m)]
+
+
 def brute_class_targets(pat, x):
     """Target of every order class of state x via definitional OI simulation.
 
@@ -90,16 +111,24 @@ def step(auto, window, c):
     raise AssertionError(f"no transition of state {x} accepted {c}")
 
 
-def assert_matches_brute(pat, f):
-    """Every state's step on every order class reaches the brute target."""
+def assert_matches_brute(pat, f, exact_targets=False):
+    """Every state's step on every order class reaches the brute target.
+
+    With exact_targets, every state x < m must also have a move for
+    exactly the brute targets of its non-forward classes, so no list keeps
+    a move that no class takes.
+    """
     m = len(pat)
     assert f.backward[m] == []
     for x in range(1, m + 1):
         targets = [tr.target for tr in f.backward[x]]
         assert len(targets) == len(set(targets)), (pat.values, x)
-        classes, _ = brute_class_targets(pat, x)
+        classes, forward_class = brute_class_targets(pat, x)
         for alpha, want in classes:
             assert step(f, pat.values[:x], alpha) == want, (pat.values, x, alpha)
+        if exact_targets and x < m:
+            assert set(targets) == {target for r, (_, target) in enumerate(classes)
+                                    if r != forward_class}, (pat.values, x)
 
 
 class TestBuildForward:
@@ -113,10 +142,12 @@ class TestBuildForward:
 
     def test_ascending_pair_merged(self):
         # from state 2 the two classes below window[2] share target 1; they
-        # merge through state fail[2] = 1, whose one move covers both
+        # merge through state fail[2] = 1, whose one move covers both.
+        # State 1 inherits that move from state 0, whose forward label
+        # accepts everything; its forward move takes the class above first
         f = build_forward(build_mp([1, 2]))
         assert f.backward[2] == []
-        assert f.backward[1] == [IntervalTransition(None, 1, 1)]
+        assert f.backward[1] == [IntervalTransition(None, None, 1)]
         assert [step(f, (1, 2), c) for c in (0.5, 1.5, 2.5)] == [1, 1, 2]
         assert f.transition_count() == 3
 
@@ -142,6 +173,31 @@ class TestBuildForward:
             m = rng.randint(2, 40)
             pat = rep_table(random_permutation(m, rng.getrandbits(30)))
             assert_matches_brute(pat, build_forward(build_mp(pat)))
+        # long failure chains: these exercise the entry a state drops
+        # because only its forward class would reach it
+        for m in (9, 20, 40):
+            for vals in chain_shapes(m) + [two_track_zigzag(m)]:
+                pat = rep_table(vals)
+                assert_matches_brute(pat, build_forward(build_mp(pat)),
+                                     exact_targets=True)
+
+    def test_build_ops_linear_on_long_failure_chains(self):
+        for m in (256, 1024, 4096):
+            for vals in chain_shapes(m):
+                f = build_forward(build_mp(vals))
+                assert f.build_ops <= 8 * m, (vals[:10], m, f.build_ops)
+
+    def test_build_ops_at_most_three_per_transition(self):
+        # the two-track zig-zag's automaton itself has about m*m/8
+        # transitions, so its build is bounded by its size, not by 8m
+        rng = random.Random(45)
+        inputs = [two_track_zigzag(m) for m in (2, 17, 256, 1024)]
+        inputs += [random_permutation(m, rng.getrandbits(30))
+                   for m in (1, 2, 7, 64, 1024)]
+        inputs += chain_shapes(300)
+        for vals in inputs:
+            f = build_forward(build_mp(vals))
+            assert f.build_ops <= 3 * f.transition_count(), (vals[:10], f.build_ops)
 
     def test_linear_size_envelope(self):
         rng = random.Random(42)
