@@ -97,7 +97,9 @@ def _sublinear(pattern, text):
 
 
 def _ac(pattern, text):
-    # ac_search alone accepts a text shorter than its patterns
+    # ac_search alone accepts a text shorter than its patterns; validate the
+    # pattern first so a bad one raises the same error as in the other engines
+    pattern = rep_table(pattern)
     if len(pattern) > len(text):
         raise PatternLongerThanText(
             f"pattern length {len(pattern)} exceeds text length {len(text)}")

@@ -1,4 +1,4 @@
-"""Shared brute-force oracles and input generators for the test suite.
+"""Shared brute-force oracles, input generators and helpers for the test suite.
 
 The oracles here deliberately re-derive everything from definitions
 (sorting, exhaustive scans) instead of reusing package internals, so they
@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
+from opmatch.bench import random_permutation
 from opmatch.core import _rep0, rep_table
 
 
@@ -109,3 +110,57 @@ def rank_patterns(m):
 def random_distinct(rng: random.Random, length, lo=-10**6, hi=10**6):
     """Random pairwise-distinct integers, arbitrary magnitudes."""
     return rng.sample(range(lo, hi), length)
+
+
+def positions(occ):
+    return [o.position for o in occ]
+
+
+def two_track_zigzag(m):
+    """Low, high, low, high, ...: both tracks rise, every low < every high."""
+    return [k // 2 if k % 2 == 0 else m + k // 2 for k in range(m)]
+
+
+def converging_zigzag(m):
+    """0, m, 1, m-1, 2, ...: every symbol turns the direction."""
+    return [k // 2 if k % 2 == 0 else m - k // 2 for k in range(m)]
+
+
+def block_periodic(m, block):
+    """Blocks of len(block) symbols, each of block's shape above the last."""
+    b = len(block)
+    return [b * (k // b) + block[k % b] for k in range(m)]
+
+
+def chain_shapes(m):
+    """Patterns with long failure chains: ascending, descending, alternating
+    zig-zag (1, 0, 3, 2, ...) and block-periodic with blocks 3, 5 and 8."""
+    return ([list(range(1, m + 1)), list(range(m, 0, -1)),
+             [k + 1 if k % 2 == 0 else k - 1 for k in range(m)]]
+            + [block_periodic(m, random_permutation(b, b)) for b in (3, 5, 8)])
+
+
+def shaped_patterns(m):
+    """An ascending, a descending and a two-track zig-zag sequence of length m."""
+    return [list(range(1, m + 1)), list(range(m, 0, -1)), two_track_zigzag(m)]
+
+
+def shaped_texts(n, rng):
+    """A random text of length n, then the three shaped sequences."""
+    return [random_permutation(n, rng.getrandbits(30))] + shaped_patterns(n)
+
+
+def plant_copies(rng, values, text):
+    """text (a permutation of 1..n) with 1-3 copies a*r + c of the ranks r of
+    values in disjoint slots, each above the text and the earlier copies."""
+    t = list(text)
+    values = oracle_ranks(values)
+    m, n = len(values), len(t)
+    copies = rng.randint(1, min(3, n // m))
+    slot = n // copies
+    a = rng.randint(1, 3)
+    for k in range(copies):
+        at = k * slot + rng.randint(0, slot - m)
+        c = n + k * 3 * m
+        t[at:at + m] = [a * v + c for v in values]
+    return t

@@ -6,16 +6,14 @@ from __future__ import annotations
 import importlib
 import pkgutil
 import random
-from itertools import permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import opmatch
-from opmatch.core import (DuplicateValue, EmptyInput, Occurrence,
-                          PatternLongerThanText, RepPair, SearchStats,
-                          naive_search, rank_normalize, rep_table,
+from opmatch.core import (DuplicateValue, EmptyInput, Occurrence, RepPair,
+                          SearchStats, naive_search, rank_normalize, rep_table,
                           validate_seq)
 
 from conftest import (oi_border_table, oracle_border_table, oracle_oi,
@@ -167,10 +165,6 @@ class TestNaiveSearch:
 
     def test_no_ascent_in_descending_text(self):
         assert naive_search([1, 2], (5, 4, 3)) == []
-
-    def test_pattern_longer_than_text(self):
-        with pytest.raises(PatternLongerThanText):
-            naive_search([1, 2, 3], (1, 2))
 
     @given(distinct_lists)
     def test_self_match_at_one(self, s):

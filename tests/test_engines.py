@@ -1,0 +1,139 @@
+"""Every engine of ``opmatch.bench.ENGINES`` against one contract.
+
+Each must give ``naive_search``'s occurrences, keep its counters within its
+``BOUNDS`` row, and raise the same error class as the others on bad input.
+A new engine is covered by adding its ``ENGINES`` key and a ``BOUNDS`` row.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from opmatch.bench import ENGINES, random_permutation
+from opmatch.core import (DuplicateValue, EmptyInput, InputError, Occurrence,
+                          PatternLongerThanText, naive_search, rep_table)
+
+from conftest import (chain_shapes, converging_zigzag, plant_copies,
+                      random_distinct, rank_patterns, two_track_zigzag)
+
+# The counters one search may reach, given the pattern and text lengths.
+# Sublinear's worst case is O(nm) reads, so only its verifications are bounded.
+BOUNDS = {
+    "naive": lambda st, m, n: st.symbols_read <= m * (n - m + 1),
+    "mp": lambda st, m, n: st.symbols_read == n and st.transitions_taken <= 3 * n,
+    "forward": lambda st, m, n: st.symbols_read == n and st.transitions_taken <= 2 * n,
+    "sublinear": lambda st, m, n: st.verifications <= n - m + 1,
+    "ac": lambda st, m, n: st.symbols_read == n and st.transitions_taken <= 3 * n,
+}
+
+# (pattern, text, positions) by hand; in the last, every window matches
+KNOWN = [
+    ([1, 2], (1, 2, 3, 4), [1, 2, 3]),
+    ([2, 1], (1, 2, 3), []),
+    ([1, 2], (3, 1, 4, 2, 5), [2, 4]),
+    ([1], (2, 9), [1, 2]),
+    ([1], (9, 8), [1, 2]),
+    (range(1, 17), range(1, 2049), list(range(1, 2034))),
+]
+
+ERRORS = [
+    pytest.param([1, 2], (5,), PatternLongerThanText, id="longer"),
+    pytest.param([1, 2, 3], (1, 2), PatternLongerThanText, id="longer-by-one"),
+    pytest.param([], (), EmptyInput, id="empty-pattern-empty-text"),
+    pytest.param([], (1, 2), EmptyInput, id="empty-pattern"),
+    pytest.param([1, 1], (1, 2, 3), DuplicateValue, id="repeated"),
+    pytest.param([1, 1], (5,), DuplicateValue, id="repeated-and-longer"),
+]
+
+
+def sorted_runs(rng, n, run):
+    """A random permutation of 1..n, about a quarter of its run-blocks sorted."""
+    t = list(random_permutation(n, rng.getrandbits(30)))
+    for lo in range(0, n, run):
+        if rng.random() < 0.25:
+            t[lo:lo + run] = sorted(t[lo:lo + run])
+    return t
+
+
+def corpus_inputs():
+    """Yield the (pattern values, text) pairs of the corpus."""
+    rng = random.Random(31)
+    for m in range(1, 5):
+        for perm in rank_patterns(m):
+            for _ in range(10):
+                yield perm, random_permutation(32, rng.getrandbits(30))
+    for seed in (32, 43):
+        rng = random.Random(seed)
+        for _ in range(200):
+            m = rng.randint(2, 64)
+            n = rng.randint(2 * m, 2048)
+            t = random_permutation(n, rng.getrandbits(30))
+            yield random_permutation(m, rng.getrandbits(30)), t
+    rng = random.Random(44)
+    for _ in range(100):
+        m = rng.randint(1, 16)
+        n = rng.randint(m, 512)
+        t = random_permutation(n, rng.getrandbits(30))
+        yield random_permutation(m, rng.getrandbits(30)), t
+    rng = random.Random(61)
+    for _ in range(120):
+        m = rng.randint(16, 96)
+        n = rng.randint(4 * m, 8192)
+        yield (random_permutation(m, rng.getrandbits(30)),
+               random_permutation(n, rng.getrandbits(30)))
+    rng = random.Random(33)
+    for _ in range(50):
+        m = rng.randint(1, 12)
+        n = rng.randint(m, 200)
+        t = random_distinct(rng, n)
+        yield random_distinct(rng, m), t
+    t = random_permutation(4096, 42)
+    # the running example padded to m=16 by a tail above or below all its values
+    yield (4, 12, 6, 16, 10, 103, 101, 108, 102, 107, 104, 109, 105, 110, 100, 106), t
+    yield range(1, 33), t
+    # adversarial texts under patterns on both sides of sublinear's fallback
+    rng = random.Random(64)
+    n = 320
+    for m in (5, 12, 16, 40):
+        texts = chain_shapes(n) + [two_track_zigzag(n), converging_zigzag(n),
+                                   sorted_runs(rng, n, 2 * m),
+                                   random_permutation(n, rng.getrandbits(30))]
+        for p in chain_shapes(m) + [two_track_zigzag(m),
+                                    random_permutation(m, rng.getrandbits(30))]:
+            planted = plant_copies(rng, p, random_permutation(n, rng.getrandbits(30)))
+            for t in texts + [planted]:
+                yield p, t
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """Each case with its answer, by hand for KNOWN and else naive_search's."""
+    cases = [(rep_table(p), tuple(t), [Occurrence(s) for s in want])
+             for p, t, want in KNOWN]
+    for values, text in corpus_inputs():
+        p = rep_table(values)
+        cases.append((p, text, naive_search(p, text)))
+    return cases
+
+
+def test_every_engine_has_a_bound():
+    assert set(BOUNDS) == set(ENGINES)
+
+
+@pytest.mark.parametrize("name", list(ENGINES))
+def test_agrees_with_naive_within_bound(name, corpus):
+    for p, t, want in corpus:
+        occ, stats = ENGINES[name](p, t)
+        m, n = len(p), len(t)
+        assert occ == want, (name, p.values[:8], m, n)
+        assert BOUNDS[name](stats, m, n), (name, p.values[:8], m, n, stats)
+
+
+@pytest.mark.parametrize("name", list(ENGINES))
+@pytest.mark.parametrize("pattern, text, error", ERRORS)
+def test_bad_input_raises_the_same_error(name, pattern, text, error):
+    with pytest.raises(InputError) as exc:
+        ENGINES[name](pattern, text)
+    assert exc.type is error, (name, exc.value)

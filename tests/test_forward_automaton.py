@@ -1,52 +1,25 @@
-"""Expanded automaton: construction vs brute force, search.
+"""Expanded automaton: construction vs brute force, size and build work.
 
 Every state's moves, state m included, are checked one order class at a
 time against a definitional brute-force simulation: one step taken on a
 concrete window (forward label first, then the first backward hull in list
 order that accepts; state m first moves to fail[m]) must reach the
 brute-force target.  The size tests assert the documented 4m-5 transition
-bound.
+bound on random patterns; the two-track zig-zag has about m*m/8
+transitions, so its build is bounded per transition instead.
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
-
 from opmatch.bench import random_permutation
-from opmatch.core import (Occurrence, PatternLongerThanText, naive_search,
-                          rep_table)
+from opmatch.core import Occurrence, rep_table
 from opmatch.forward_automaton import (IntervalTransition, build_forward,
                                        forward_search)
-from opmatch.mp_automaton import build_mp, mp_search
+from opmatch.mp_automaton import build_mp
 
-from conftest import oracle_oi, rank_patterns
-
-
-def positions(occ):
-    return [o.position for o in occ]
-
-
-def chain_shapes(m):
-    """Patterns of length m whose failure chains are long.
-
-    Ascending, descending, an alternating zig-zag (1, 0, 3, 2, ...: each
-    fall followed by a larger rise), and block-periodic patterns of blocks
-    3, 5 and 8, where every block repeats one fixed shape above the block
-    before it.
-    """
-    shapes = [list(range(1, m + 1)), list(range(m, 0, -1)),
-              [k + 1 if k % 2 == 0 else k - 1 for k in range(m)]]
-    for b in (3, 5, 8):
-        block = random_permutation(b, b)
-        shapes.append([b * (k // b) + block[k % b] for k in range(m)])
-    return shapes
-
-
-def two_track_zigzag(m):
-    """Low, high, low, high, ...: both tracks rise, every low < every high."""
-    return [k // 2 if k % 2 == 0 else m + k // 2 for k in range(m)]
+from conftest import chain_shapes, oracle_oi, rank_patterns, two_track_zigzag
 
 
 def brute_class_targets(pat, x):
@@ -226,40 +199,3 @@ class TestForwardSearch:
         f = build_forward(build_mp([4, 12, 6, 16, 10]))
         occ, _ = forward_search(f, (1, 4, 2, 5, 3, 6))
         assert occ == [Occurrence(1)]
-
-    def test_two_matches(self):
-        f = build_forward(build_mp([1, 2]))
-        occ, _ = forward_search(f, (3, 1, 4, 2, 5))
-        assert positions(occ) == [2, 4]
-
-    def test_singleton_matches_everywhere(self):
-        f = build_forward(build_mp([1]))
-        occ, _ = forward_search(f, (2, 9))
-        assert positions(occ) == [1, 2]
-
-    def test_pattern_longer_than_text(self):
-        with pytest.raises(PatternLongerThanText):
-            forward_search(build_forward(build_mp([1, 2])), (5,))
-
-    def test_oracle_equality_and_2n_bound(self):
-        rng = random.Random(43)
-        for _ in range(200):
-            m = rng.randint(2, 64)
-            n = rng.randint(2 * m, 2048)
-            t = random_permutation(n, rng.getrandbits(30))
-            p = rep_table(random_permutation(m, rng.getrandbits(30)))
-            f = build_forward(build_mp(p))
-            occ, stats = forward_search(f, t)
-            assert positions(occ) == positions(naive_search(p, t))
-            assert stats.transitions_taken <= 2 * n
-            assert stats.symbols_read == n
-
-    def test_matches_mp_search(self):
-        rng = random.Random(44)
-        for _ in range(100):
-            m = rng.randint(1, 16)
-            n = rng.randint(m, 512)
-            t = random_permutation(n, rng.getrandbits(30))
-            a = build_mp(random_permutation(m, rng.getrandbits(30)))
-            assert positions(forward_search(build_forward(a), t)[0]) == \
-                positions(mp_search(a, t)[0])

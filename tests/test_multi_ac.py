@@ -13,7 +13,7 @@ from opmatch.core import (EmptyInput, Occurrence, RepPair, naive_search,
 from opmatch.mp_automaton import build_mp, mp_search
 from opmatch.multi_ac import ac_search, build_ac, make_pattern_set
 
-from conftest import oracle_oi, random_distinct
+from conftest import random_distinct, shaped_patterns, shaped_texts
 
 
 def per_pattern_oracle(ps, t):
@@ -23,20 +23,6 @@ def per_pattern_oracle(ps, t):
             out.extend(Occurrence(o.position, pid) for o in naive_search(p, t))
     out.sort()
     return out
-
-
-def shaped_patterns(m):
-    """An ascending, a descending and a zig-zag sequence of length m.
-
-    The zig-zag alternates a low and a high track, both rising.
-    """
-    return [list(range(1, m + 1)), list(range(m, 0, -1)),
-            [k // 2 if k % 2 == 0 else m + k // 2 for k in range(m)]]
-
-
-def shaped_texts(n, rng):
-    """A random text of length n, then the three shaped sequences."""
-    return [random_permutation(n, rng.getrandbits(30))] + shaped_patterns(n)
 
 
 def collect_nodes(root):
@@ -178,11 +164,6 @@ class TestAcSearch:
         auto = build_ac(make_pattern_set([[1, 2], [2, 1]]))
         occ, _ = ac_search(auto, (3, 1, 4, 2))
         assert occ == [Occurrence(1, 1), Occurrence(2, 0), Occurrence(3, 1)]
-
-    def test_length_one_everywhere(self):
-        auto = build_ac(make_pattern_set([[1]]))
-        occ, _ = ac_search(auto, (9, 8))
-        assert occ == [Occurrence(1, 0), Occurrence(2, 0)]
 
     def test_duplicates_both_reported(self):
         auto = build_ac(make_pattern_set([[1, 3, 2], [10, 30, 20]]))

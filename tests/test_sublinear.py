@@ -1,4 +1,4 @@
-"""Backward-window engine: window geometry, factor tree, exactness."""
+"""Backward-window engine: window geometry, factor tree, skipped windows."""
 
 from __future__ import annotations
 
@@ -11,11 +11,8 @@ from opmatch.core import naive_search, rep_table
 from opmatch.sublinear import (FallbackRequired, build_factor_tree, choose_b,
                                search_or_fallback, sublinear_search)
 
-from conftest import oracle_insertion_ranks, oracle_oi, random_distinct
-
-
-def positions(occ):
-    return [o.position for o in occ]
+from conftest import (converging_zigzag, oracle_insertion_ranks, oracle_oi,
+                      plant_copies, positions, random_distinct)
 
 
 def match_depth(root, symbols):
@@ -39,16 +36,6 @@ def oracle_factor_tree(values, b):
     return root
 
 
-def zigzag(m):
-    """0, m, 1, m-1, 2, ...: every symbol turns the direction."""
-    return [i // 2 if i % 2 == 0 else m - i // 2 for i in range(m)]
-
-
-# running example padded to m=16 with a fixed tail (kept well above/below
-# the original values so the prefix shape is preserved)
-PADDED_16 = (4, 12, 6, 16, 10, 103, 101, 108, 102, 107, 104, 109, 105, 110, 100, 106)
-
-
 class TestChooseB:
     def test_m_1024(self):
         assert choose_b(1024) == 11
@@ -64,21 +51,6 @@ class TestChooseB:
         for m in [*range(16, 3000, 7), *range(3000, 2 * 10**6, 9973), 2 * 10**6]:
             b = choose_b(m)
             assert b is not None and 2 * b <= m
-
-
-class TestWindowPlan:
-    def test_ranges_tile_the_text(self):
-        # consecutive verification ranges are disjoint and cover all starts
-        for m, n in ((16, 16), (16, 100), (32, 257), (64, 1000)):
-            b = choose_b(m)
-            shift = m - b + 1
-            covered = []
-            e = m
-            while e <= n:
-                covered.append((e - m + 1, min(e - b + 1, n - m + 1)))
-                e += shift
-            flat = [s for lo, hi in covered for s in range(lo, hi + 1)]
-            assert flat == list(range(1, n - m + 2))
 
 
 class TestFactorTree:
@@ -106,7 +78,7 @@ class TestFactorTree:
                 "random": random_distinct(rng, m, -10**12, 10**12),
                 "ascending": list(range(m)),
                 "descending": list(range(m, 0, -1)),
-                "zigzag": zigzag(m),
+                "zigzag": converging_zigzag(m),
             }
             widths = {b for b in (1, 2, choose_b(m), m)
                       if b is not None and b <= m}
@@ -152,34 +124,18 @@ class TestSublinearSearch:
         assert fell_back
         assert positions(occ) == positions(naive_search([4, 12, 6, 16, 10], t))
 
-    def test_ascending_pattern_on_random_text(self):
-        p = tuple(range(1, 33))
-        t = random_permutation(4096, 42)
-        occ, _ = sublinear_search(p, t)
-        assert positions(occ) == positions(naive_search(p, t))
-
-    def test_padded_running_example(self):
-        t = random_permutation(4096, 42)
-        occ, _ = sublinear_search(PADDED_16, t)
-        assert positions(occ) == positions(naive_search(PADDED_16, t))
-
-    def test_oracle_equality_fuzz(self):
-        rng = random.Random(61)
-        for _ in range(120):
-            m = rng.randint(16, 96)
-            n = rng.randint(4 * m, 8192)
-            p = rep_table(random_permutation(m, rng.getrandbits(30)))
-            t = random_permutation(n, rng.getrandbits(30))
-            occ, stats = sublinear_search(p, t)
-            assert positions(occ) == positions(naive_search(p, t))
-            assert stats.verifications >= 0
-
-    def test_no_double_reports_on_periodic_text(self):
-        # heavy overlap: every window verifies, tiling must not duplicate
-        p = tuple(range(1, 17))
-        t = tuple(range(1, 2049))
-        occ, _ = sublinear_search(p, t)
-        assert positions(occ) == list(range(1, 2034))
+    def test_ranges_tile_the_text(self):
+        # consecutive verification ranges are disjoint and cover all starts
+        for m, n in ((16, 16), (16, 100), (32, 257), (64, 1000)):
+            b = choose_b(m)
+            shift = m - b + 1
+            covered = []
+            e = m
+            while e <= n:
+                covered.append((e - m + 1, min(e - b + 1, n - m + 1)))
+                e += shift
+            flat = [s for lo, hi in covered for s in range(lo, hi + 1)]
+            assert flat == list(range(1, n - m + 2))
 
     def test_rejected_windows_are_safe_to_skip(self):
         # when the backward read is rejected, no occurrence overlaps the
@@ -191,16 +147,7 @@ class TestSublinearSearch:
             n = rng.randint(2 * m, 600)
             values = random_permutation(m, rng.getrandbits(30))
             p = rep_table(values)
-            t = list(random_permutation(n, rng.getrandbits(30)))
-            # plant order-isomorphic copies a*v + c in disjoint slots; each
-            # copy's values lie above the text's and the earlier copies'
-            copies = rng.randint(1, min(3, n // m))
-            slot = n // copies
-            a = rng.randint(1, 3)
-            for k in range(copies):
-                at = k * slot + rng.randint(0, slot - m)
-                c = n + k * 3 * m
-                t[at:at + m] = [a * v + c for v in values]
+            t = plant_copies(rng, values, random_permutation(n, rng.getrandbits(30)))
             assert len(set(t)) == n
             b = choose_b(m)
             tree = build_factor_tree(p, b)
