@@ -69,34 +69,36 @@ def mp_search(a: MpAutomaton, t: Sequence[int]):
     """All occurrences of the automaton's pattern in t, with statistics.
 
     At state x reading t[i], the forward test compares t[i] against the
-    window symbols addressed by the rep pair of prefix x+1; on failure the
-    state follows its failure link and the same symbol is re-tested.  A
-    full match restarts from the border of the whole pattern, so
-    overlapping occurrences are reported.  transitions_taken counts every
-    forward test and every failure step; it never exceeds 3n.
+    window symbols addressed by the rep pair of prefix x+1, kept as
+    distances back from t[i]; on failure the state follows its failure link
+    and the same symbol is re-tested.  A full match restarts from the
+    border of the whole pattern, so overlapping occurrences are reported.
+    transitions_taken counts every forward test and every failure step; it
+    never exceeds 3n.  Only failure steps are counted in the loop: each
+    one follows a failed test, every symbol ends with one passing test
+    (state 0 always extends) and every match takes one step to the border,
+    so transitions_taken = n + 2 * failure steps + matches.
     """
     m = len(a.pattern)
     n = len(t)
     if m > n:
         raise PatternLongerThanText(f"pattern length {m} exceeds text length {n}")
-    reps = _rep0(a.pattern)
+    back = [(None if x1 is None else x - x1, None if x2 is None else x - x2)
+            for x, (x1, x2) in enumerate(_rep0(a.pattern))]
     fail = a.fail
     x = 0
-    trans = 0
+    fails = 0
     out = []
-    for i0 in range(n):
-        c = t[i0]
+    for i0, c in enumerate(t):
         while True:  # state 0 extends on every symbol
-            x1, x2 = reps[x]
-            trans += 1
-            base = i0 - x
-            if (x1 is None or t[base + x1] < c) and (x2 is None or c < t[base + x2]):
-                x += 1
+            d1, d2 = back[x]
+            if (d1 is None or t[i0 - d1] < c) and (d2 is None or c < t[i0 - d2]):
                 break
             x = fail[x]
-            trans += 1
+            fails += 1
+        x += 1
         if x == m:
             out.append(Occurrence(i0 - m + 2))
             x = fail[m]
-            trans += 1
+    trans = n + 2 * fails + len(out)
     return out, SearchStats(symbols_read=n, transitions_taken=trans)

@@ -1,23 +1,27 @@
 """Average-case sublinear search via backward factor recognition.
 
-A factor tree is built over all length-b factors of the reversed pattern.
-Each edge is keyed by the insertion rank of the new symbol: the number of
-symbols before it in the factor that are smaller.  The text is examined
-through a window of length m whose end advances by m-b+1 each round: up to
-b symbols are read backward from the window end through the tree, each step
-keyed by the insertion rank of the new text symbol among those read.  If
-the read prefix is ever rejected, no occurrence can contain those symbols
-and start within the current verification range, so the whole range is
-skipped after only a few reads.  If all b symbols are recognized, every
-start in the range is checked naively.  Consecutive verification ranges
-tile the text exactly, so each candidate start is examined once and the
-result equals the naive scan.
+A factor index is built over all length-b factors of the reversed pattern.
+Each factor is read symbol by symbol, and symbol d is keyed by its
+insertion rank k_d: how many of the d symbols before it are smaller.  Since
+0 <= k_d <= d, the ranks of the first d+1 symbols fold into one mixed-radix
+code, code_d = code_{d-1} * (d+1) + k_d, and the index keeps one set of
+codes per depth.  The text is examined through a window of length m whose
+end advances by m-b+1 each round: up to b symbols are read backward from
+the window end, each step folding the insertion rank of the new text
+symbol among those read into the code.  If the code is ever missing from
+its depth's set, no occurrence can contain those symbols and start within
+the current verification range, so the whole range is skipped after only a
+few reads.  If all b symbols are recognized, every start in the range is
+checked naively.  Consecutive verification ranges tile the text exactly, so
+each candidate start is examined once and the result equals the naive scan.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import repeat
 from math import ceil, log2
+from operator import add, lt, mul
 from typing import Optional, Sequence
 
 from .core import (Occurrence, PatternLike, PatternLongerThanText,
@@ -40,42 +44,46 @@ def choose_b(m: int) -> Optional[int]:
     return ceil(3.5 * log2(m) / log2(log2(m)))
 
 
-def build_factor_tree(p: PatternLike, b: int) -> dict:
-    """Trie of the length-b factors of the reversed pattern, keyed by rank.
+def build_factor_tree(p: PatternLike, b: int) -> tuple:
+    """Per-depth code sets of the length-b factors of the reversed pattern.
 
-    Returns the root as nested dicts.  The edge for the j-th symbol of a
-    factor is keyed by its insertion rank: how many of the j-1 symbols
-    before it are smaller.  Given the symbols before it, the rank fixes the
-    new symbol's place among them, so a backward read t_e, t_{e-1}, ...
-    that descends by the insertion rank of each new symbol is accepted (to
-    any depth up to b) exactly when it is order-isomorphic to a prefix of
-    some factor of the reversed pattern.  Searches only read the tree and
-    keep their scratch state locally, so concurrent searches over one tree
-    are safe.
+    Returns a tuple of b frozensets.  Level d holds code_d of every factor,
+    where code_d = code_{d-1} * (d+1) + k_d and k_d is the insertion rank
+    of the factor's symbol d among the d symbols before it (code_0 = 0).
+    The ranks fix each new symbol's place among those before it, so a
+    backward read t_e, t_{e-1}, ... whose code stays in its depth's set (to
+    any depth up to b) is exactly one that is order-isomorphic to a prefix
+    of some factor of the reversed pattern.  Level d holds at most
+    min((d+1)!, m-b+1) codes.
+
+    Each depth is one pass of C-level maps over the reversed ranks.  The
+    list ``smaller`` holds, for every start s, the insertion rank of symbol
+    s+d among symbols s..s+d-1.  It is the previous depth's list shifted by
+    one start, plus whether symbol s is below symbol s+d; it loses one entry
+    per depth, as the last start with a symbol at depth d moves down by one.
+    Searches only read the sets, so concurrent searches over one index are
+    safe.
     """
     pat = rep_table(p)
     m = len(pat)
-    if b > m:
-        raise ValueError(f"factor length {b} exceeds pattern length {m}")
-    reversed_ranks = pat.ranks[::-1]
-    root: dict = {}
-    for s in range(m - b + 1):
-        node = root
-        seen: list = []
-        for c in reversed_ranks[s:s + b]:
-            k = bisect_left(seen, c)
-            child = node.get(k)
-            if child is None:
-                child = node[k] = {}
-            node = child
-            seen.insert(k, c)
-    return root
+    if not 1 <= b <= m:
+        raise ValueError(f"factor length {b} is outside 1..{m}, the pattern length")
+    rev = pat.ranks[::-1]
+    starts = m - b + 1
+    smaller = [0] * m
+    code = [0] * starts
+    levels = [frozenset(code)]
+    for d in range(1, b):
+        smaller = list(map(add, smaller[1:], map(lt, rev, rev[d:])))
+        code = list(map(add, map(mul, code, repeat(d + 1)), smaller[:starts]))
+        levels.append(frozenset(code))
+    return tuple(levels)
 
 
 def sublinear_search(p: PatternLike, t: Sequence[int]):
     """All occurrences of p in t; raises FallbackRequired for short patterns.
 
-    symbols_read counts tree reads plus verification reads; verifications
+    symbols_read counts index reads plus verification reads; verifications
     counts naive per-start checks.
     """
     pat = rep_table(p)
@@ -87,26 +95,28 @@ def sublinear_search(p: PatternLike, t: Sequence[int]):
     if b is None:
         raise FallbackRequired(f"no backward read length for m={m}")
     shift = m - b + 1
-    root = build_factor_tree(pat, b)
+    levels = build_factor_tree(pat, b)
+    # Level 0 holds only code 0, so the first read always passes; the read
+    # r symbols back from the window end folds its rank with radix r.
+    steps = list(zip(range(2, b + 1), levels[1:]))
     last_start = n - m + 1
     out = []
     reads = 0
     verifications = 0
     e = m
     while e <= n:
-        node = root
-        seen: list = []  # values read so far, sorted
-        depth = 0
-        while depth < b:
-            c = t[e - 1 - depth]
-            reads += 1
+        seen = [t[e - 1]]  # values read so far, sorted
+        code = 0
+        for r, level in steps:
+            c = t[e - r]
             k = bisect_left(seen, c)
-            node = node.get(k)
-            if node is None:
+            code = code * r + k
+            if code not in level:
+                reads += r
                 break
             seen.insert(k, c)
-            depth += 1
-        if depth == b:
+        else:
+            reads += b
             lo = e - m + 1
             hi = min(e - b + 1, last_start)
             positions, vreads = scan_alignments(pat, t, lo, hi)

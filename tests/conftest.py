@@ -94,6 +94,37 @@ def oi_border_table(p):
     return tuple(fail)
 
 
+def counted_mp(a, t):
+    """Occurrence positions and transition count of an MP automaton's search.
+
+    Walks ``a``'s failure links with the pattern's 1-based rep pairs and
+    counts as it goes: one for every forward test, one for every failure
+    step, and one for the step to the border after every match.  The count
+    that ``mp_search`` derives must equal this one.
+    """
+    m = len(a.pattern)
+    rep = a.pattern.rep
+    x = 0
+    count = 0
+    found = []
+    for i, c in enumerate(t):
+        while True:
+            x1, x2 = rep[x]
+            start = i - x  # 0-based start of the window that state x holds
+            count += 1  # forward test
+            if ((x1 is None or t[start + x1 - 1] < c)
+                    and (x2 is None or c < t[start + x2 - 1])):
+                x += 1
+                break
+            x = a.fail[x]
+            count += 1  # failure step
+        if x == m:
+            found.append(i - m + 2)
+            x = a.fail[m]
+            count += 1  # step to the border
+    return found, count
+
+
 def oracle_positions(pattern_values, text):
     """All 1-based occurrence positions by definitional window comparison."""
     m = len(pattern_values)

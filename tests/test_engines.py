@@ -14,9 +14,11 @@ import pytest
 from opmatch.bench import ENGINES, random_permutation
 from opmatch.core import (DuplicateValue, EmptyInput, InputError, Occurrence,
                           PatternLongerThanText, naive_search, rep_table)
+from opmatch.mp_automaton import build_mp, mp_search
 
-from conftest import (chain_shapes, converging_zigzag, plant_copies,
-                      random_distinct, rank_patterns, two_track_zigzag)
+from conftest import (chain_shapes, converging_zigzag, counted_mp, plant_copies,
+                      positions, random_distinct, rank_patterns, shaped_texts,
+                      two_track_zigzag)
 
 # The counters one search may reach, given the pattern and text lengths.
 # Sublinear's worst case is O(nm) reads, so only its verifications are bounded.
@@ -137,3 +139,20 @@ def test_bad_input_raises_the_same_error(name, pattern, text, error):
     with pytest.raises(InputError) as exc:
         ENGINES[name](pattern, text)
     assert exc.type is error, (name, exc.value)
+
+
+def test_mp_counter_equals_counted_simulation(corpus):
+    # mp_search counts only failure steps and derives the rest; the corpus
+    # and long monotone and zig-zag texts (where most tests fail) must give
+    # the count of a simulation that counts every test and step
+    cases = [(p, t) for p, t, _ in corpus]
+    rng = random.Random(65)
+    for m in (1, 2, 5, 16, 64):
+        for p in chain_shapes(m) + [two_track_zigzag(m), converging_zigzag(m)]:
+            for t in shaped_texts(2000, rng) + [converging_zigzag(2000)]:
+                cases.append((rep_table(p), t))
+    for p, t in cases:
+        a = build_mp(p)
+        occ, stats = mp_search(a, t)
+        assert (positions(occ), stats.transitions_taken) == counted_mp(a, t), \
+            (p.values[:8], len(p), len(t))

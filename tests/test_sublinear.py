@@ -1,8 +1,9 @@
-"""Backward-window engine: window geometry, factor tree, skipped windows."""
+"""Backward-window engine: window geometry, factor index, skipped windows."""
 
 from __future__ import annotations
 
 import random
+from math import factorial
 
 import pytest
 
@@ -15,25 +16,27 @@ from conftest import (converging_zigzag, oracle_insertion_ranks, oracle_oi,
                       plant_copies, positions, random_distinct)
 
 
-def match_depth(root, symbols):
-    """How many of the given symbols (in read order) the tree accepts."""
-    node = root
+def match_depth(levels, symbols):
+    """How many of the given symbols (in read order) the index accepts."""
+    code = 0
     for depth, rank in enumerate(oracle_insertion_ranks(symbols)):
-        node = node.get(rank)
-        if node is None:
+        code = code * (depth + 1) + rank
+        if code not in levels[depth]:
             return depth
     return len(symbols)
 
 
 def oracle_factor_tree(values, b):
-    """Nested dicts of the reversed pattern's length-b factors, from definitions."""
+    """Per-depth code sets of the reversed pattern's length-b factors, from
+    definitions: code_d = code_{d-1} * (d+1) + insertion rank of symbol d."""
     rev = list(values)[::-1]
-    root: dict = {}
+    levels = [set() for _ in range(b)]
     for s in range(len(rev) - b + 1):
-        node = root
-        for rank in oracle_insertion_ranks(rev[s:s + b]):
-            node = node.setdefault(rank, {})
-    return root
+        code = 0
+        for depth, rank in enumerate(oracle_insertion_ranks(rev[s:s + b])):
+            code = code * (depth + 1) + rank
+            levels[depth].add(code)
+    return tuple(frozenset(level) for level in levels)
 
 
 class TestChooseB:
@@ -55,19 +58,33 @@ class TestChooseB:
 
 class TestFactorTree:
     def test_ascending_pattern_single_path(self):
-        node = build_factor_tree([1, 2, 3, 4], 2)
-        for _ in range(2):
-            assert len(node) == 1
-            node = next(iter(node.values()))
-        assert node == {}
+        assert build_factor_tree([1, 2, 3, 4], 2) == (frozenset({0}), frozenset({0}))
 
     def test_two_shape_classes(self):
-        root = build_factor_tree([4, 12, 6, 16, 10], 2)
-        first = next(iter(root.values()))
-        assert len(root) == 1 and len(first) == 2
+        levels = build_factor_tree([4, 12, 6, 16, 10], 2)
+        assert len(levels) == 2
+        assert len(levels[0]) == 1 and len(levels[1]) == 2
 
     def test_b_one_accepts_any_symbol(self):
-        assert list(build_factor_tree([5, 1, 3], 1)) == [0]
+        assert build_factor_tree([5, 1, 3], 1) == (frozenset({0}),)
+
+    def test_factor_length_out_of_range(self):
+        for b in (-1, 0, 4):
+            with pytest.raises(ValueError):
+                build_factor_tree([5, 1, 3], b)
+
+    def test_level_sizes_bounded(self):
+        # level d holds at most (d+1)! codes (the insertion-rank words of
+        # length d+1) and at most one per factor start
+        for m in (16, 64, 1024, 4096):
+            b = choose_b(m)
+            for vals in (random_permutation(m, m), list(range(m)),
+                         converging_zigzag(m)):
+                levels = build_factor_tree(vals, b)
+                assert len(levels) == b
+                for d, level in enumerate(levels):
+                    assert 1 <= len(level) <= min(factorial(d + 1), m - b + 1)
+                    assert all(0 <= code < factorial(d + 1) for code in level)
 
     def test_equals_tree_built_from_definitions(self):
         rng = random.Random(63)
