@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO
 
-from .core import PatternLongerThanText, SearchStats, naive_search, rep_table
+from .core import SearchStats, check_fits, naive_search, rep_table
 from .forward_automaton import build_forward, forward_search
 from .mp_automaton import build_mp, mp_search
 from .multi_ac import ac_search, build_ac, make_pattern_set
@@ -61,8 +61,8 @@ class BenchConfig:
             raise ValueError(f"unknown algorithm {self.algo!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.pattern is None and self.m is None:
-            raise ValueError("either m or a fixed pattern is required")
+        if (self.pattern is None) == (self.m is None):
+            raise ValueError("give exactly one of m and a fixed pattern")
         m = len(self.pattern) if self.pattern is not None else self.m
         if m < 1 or m > self.n:
             raise ValueError(f"need 1 <= m <= n, got m={m}, n={self.n}")
@@ -100,9 +100,7 @@ def _ac(pattern, text):
     # ac_search alone accepts a text shorter than its patterns; validate the
     # pattern first so a bad one raises the same error as in the other engines
     pattern = rep_table(pattern)
-    if len(pattern) > len(text):
-        raise PatternLongerThanText(
-            f"pattern length {len(pattern)} exceeds text length {len(text)}")
+    check_fits(len(pattern), len(text))
     return ac_search(build_ac(make_pattern_set([pattern])), text)
 
 

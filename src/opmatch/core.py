@@ -86,12 +86,17 @@ class Pattern:
     ``ranks`` is the permutation of 1..m obtained by replacing every value
     with its rank; ``rep[j-1]`` is the RepPair of the j-th symbol relative
     to the prefix before it (so ``rep[0]`` is always ``(None, None)``).
-    Immutable and safe to share between concurrent searches.
+    ``back[j]`` is ``rep[j]`` written as distances back from symbol j
+    (0-based): ``(j+1-x1, j+1-x2)``, with ``None`` kept.  Every engine
+    reads the text through ``back``: the pair tests a symbol t[i] against
+    t[i-d1] and t[i-d2], whatever the window's start.  Immutable and safe
+    to share between concurrent searches.
     """
 
     values: tuple
     ranks: tuple
     rep: tuple
+    back: tuple
 
     def __len__(self) -> int:
         return len(self.values)
@@ -165,42 +170,47 @@ def rep_sequence(values: Sequence[int]) -> list:
 def rep_table(p: PatternLike) -> Pattern:
     """Validate a sequence and build its Pattern (ranks plus rep pairs).
 
-    A Pattern is returned unchanged.
+    A Pattern is returned unchanged.  This is the one place where rep pairs
+    are converted into the distances of ``Pattern.back``.
     """
     if isinstance(p, Pattern):
         return p
     values = validate_seq(p, require_nonempty=True)
-    return Pattern(values, rank_normalize(values), tuple(rep_sequence(values)))
+    rep = tuple(rep_sequence(values))
+    back = tuple((None if x1 is None else j - x1, None if x2 is None else j - x2)
+                 for j, (x1, x2) in enumerate(rep, 1))
+    return Pattern(values, rank_normalize(values), rep, back)
 
 
-def _rep0(p: Pattern) -> list:
-    """Rep pairs converted to 0-based positions for tight inner loops."""
-    return [(None if x1 is None else x1 - 1, None if x2 is None else x2 - 1)
-            for x1, x2 in p.rep]
+def check_fits(m: int, n: int) -> None:
+    """Raise PatternLongerThanText unless a length-m pattern fits in n symbols."""
+    if m > n:
+        raise PatternLongerThanText(f"pattern length {m} exceeds text length {n}")
 
 
 def scan_alignments(p: Pattern, t: Sequence[int], first: int, last: int):
     """Naive check of every start in [first, last] (1-based, inclusive).
 
-    Each alignment is verified incrementally with the pattern's rep pairs,
-    bailing out at the first symbol that breaks order-isomorphism.  Returns
-    (positions, symbols_inspected) where symbols_inspected counts how many
-    window symbols were examined in total.
+    Each alignment is verified incrementally with the pattern's ``back``
+    pairs, bailing out at the first symbol that breaks order-isomorphism.
+    Returns (positions, symbols_inspected) where symbols_inspected counts
+    how many window symbols were examined in total.
     """
-    reps = _rep0(p)
-    m = len(reps)
+    back = p.back
+    m = len(back)
     positions = []
     reads = 0
     for s0 in range(first - 1, last):
         ok = True
         for j in range(m):
-            c = t[s0 + j]
+            i = s0 + j
+            c = t[i]
             reads += 1
-            x1, x2 = reps[j]
-            if x1 is not None and not t[s0 + x1] < c:
+            d1, d2 = back[j]
+            if d1 is not None and not t[i - d1] < c:
                 ok = False
                 break
-            if x2 is not None and not c < t[s0 + x2]:
+            if d2 is not None and not c < t[i - d2]:
                 ok = False
                 break
         if ok:
@@ -219,8 +229,7 @@ def naive_search(p: PatternLike, t: Sequence[int],
     pat = rep_table(p)
     m = len(pat)
     n = len(t)
-    if m > n:
-        raise PatternLongerThanText(f"pattern length {m} exceeds text length {n}")
+    check_fits(m, n)
     positions, reads = scan_alignments(pat, t, 1, n - m + 1)
     if stats is not None:
         stats.symbols_read += reads

@@ -11,11 +11,11 @@ the identity behind the failure-link representation.  State x therefore
 inherits its backward moves: first fail[x]'s forward label, with target
 fail[x]+1, then fail[x]'s own list.  Of these, only the one for
 fail[x+1], where fail[x] sends x's forward class, can be left unreached
-by the other classes of x; the build drops it then.  Each label is the class of some
-state on x's failure chain, a hull of fail[x]'s classes, so it may span
-classes of other targets: backward transitions are tested in list order
-(increasing jump length) after the forward move, and the first that
-accepts is taken, which resolves every class to its own target.  The
+by the other classes of x; the build drops it then.  Each label is the
+class of some state on x's failure chain, a hull of fail[x]'s classes, so
+it may span classes of other targets: backward transitions are tested in
+list order (increasing jump length) after the forward move, and the first
+that accepts is taken, which resolves every class to its own target.  The
 accepting state m has no transitions of its own; after a match the search
 moves to fail[m], as the failure-link automaton does.
 
@@ -24,10 +24,11 @@ non-forward classes.  Random patterns stay within 4m-5 transitions in
 total for m >= 2, but the size is not linear in general: a two-track
 zig-zag (both tracks rising, every low below every high) has about m*m/8.
 
-Interval labels are stored as window positions and resolved against the
-live text window while searching, so transitions never mention concrete
-values.  Testing backward transitions in increasing jump length amortizes
-the search to at most 2n transition tests.
+Interval labels are stored as distances back from the symbol being read,
+the format of ``Pattern.back``, and resolved against the text while
+searching, so transitions never mention concrete values.  Testing backward
+transitions in increasing jump length amortizes the search to at most 2n
+transition tests.
 """
 
 from __future__ import annotations
@@ -35,19 +36,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from .core import (Occurrence, Pattern, PatternLongerThanText, SearchStats,
-                   _rep0)
+from .core import Occurrence, Pattern, SearchStats, check_fits
 from .mp_automaton import MpAutomaton
 
 
 class IntervalTransition(NamedTuple):
-    """Backward move that accepts when window[low] < symbol < window[high].
+    """Backward move that accepts t[i] when t[i-low] < t[i] < t[i-high].
 
-    ``low``/``high`` are 1-based positions in the current window (None for
-    an unbounded side); ``target`` is the state reached after consuming the
-    symbol.  The interval holds every order class sent to ``target`` and
-    may include classes of other targets, so it is taken only when no
-    earlier transition of the state's list accepts.
+    ``low``/``high`` are distances back from the symbol t[i] being read, as
+    in ``Pattern.back`` (None for an unbounded side); ``target`` is the
+    state reached after consuming the symbol.  The interval holds every
+    order class sent to ``target`` and may include classes of other
+    targets, so it is taken only when no earlier transition of the state's
+    list accepts.
     """
 
     low: Optional[int]
@@ -60,9 +61,9 @@ class ForwardAutomaton:
     """Interval-transition automaton over states 0..m.
 
     ``backward[x]`` lists state x's backward transitions in the order the
-    search tests them; ``_rep0`` holds the forward labels as 0-based window
-    positions.  build_forward fills both up front, so the automaton is
-    immutable and concurrent searches are safe.  ``build_ops`` counts the
+    search tests them; the forward label of state x is ``pattern.back[x]``.
+    build_forward fills every list up front, so the automaton is immutable
+    and concurrent searches are safe.  ``build_ops`` counts the
     entries the build copies from failure links plus the entries and steps
     of its dead-entry checks; it never exceeds 3 * transition_count().
     """
@@ -70,7 +71,6 @@ class ForwardAutomaton:
     pattern: Pattern
     fail: tuple
     backward: tuple
-    _rep0: list = field(repr=False)
     build_ops: int = field(default=0, repr=False)
 
     def transition_count(self) -> int:
@@ -81,35 +81,33 @@ class ForwardAutomaton:
 def build_forward(a: MpAutomaton) -> ForwardAutomaton:
     """Inherit every state's backward transitions from its failure link.
 
-    While building, a label bound is an offset back from the window's last
-    symbol (None for an unbounded side: below everything as a low end,
-    above everything as a high end), so the list of q = fail[x] holds at x
-    unchanged.  The only entry that may be dead at x is the one for
-    fail[x+1], where q sends x's forward class.  When a bound of that class
-    lies outside q's window, the class of q around it holds other classes
-    of x, which reach fail[x+1] too.  Otherwise the entry is dead when x's
-    forward class and the labels listed before it tile its label.  Labels
+    A label bound is a distance back from the symbol being read (None for
+    an unbounded side: below everything as a low end, above everything as
+    a high end), so the list of q = fail[x] holds at x unchanged, and x's
+    list shares q's transition objects.  The only entry that may be dead
+    at x is the one for fail[x+1], where q sends x's forward class.  When
+    a bound of that class lies outside q's window (a distance above q),
+    the class of q around it holds other classes of x, which reach
+    fail[x+1] too.  Otherwise the entry is dead when x's forward class and
+    the labels listed before it tile its label.  Labels
     are classes of states on x's failure chain, so any two are nested or
     disjoint, and of two that share a low end the later one is the wider:
     mapping each low end to the last high end seen keeps the widest, and
     the tiling is a walk from low end to high end.
     """
     pat = a.pattern
-    rep = pat.rep
+    back = pat.back
     fail = a.fail
-    inherited: list = [[]]
     backward: list = [[]]
     ops = 0
     for x in range(1, len(pat)):
         q = fail[x]
-        k, ell = rep[q]
-        moves = [(None if k is None else q - k,
-                  None if ell is None else q - ell, q + 1)] + inherited[q]
+        moves = [IntervalTransition(*back[q], q + 1)] + backward[q]
         ops += len(moves)
-        x1, x2 = rep[x]
-        if (x1 is None or x1 > x - q) and (x2 is None or x2 > x - q):
+        d1, d2 = back[x]
+        if (d1 is None or d1 <= q) and (d2 is None or d2 <= q):
             shadowed = fail[x + 1]
-            ends = {None if x1 is None else x - x1: None if x2 is None else x - x2}
+            ends = {d1: d2}
             for i, (low, high, target) in enumerate(moves):
                 if target == shadowed:
                     break
@@ -122,14 +120,10 @@ def build_forward(a: MpAutomaton) -> ForwardAutomaton:
                 if end == high:
                     del moves[i]
                     break
-        inherited.append(moves)
-        backward.append([IntervalTransition(None if low is None else x - low,
-                                            None if high is None else x - high,
-                                            target)
-                         for low, high, target in moves])
+        backward.append(moves)
     # state m has no moves: the search delegates it to fail[m]
     backward.append([])
-    return ForwardAutomaton(pat, fail, tuple(backward), _rep0(pat), ops)
+    return ForwardAutomaton(pat, fail, tuple(backward), ops)
 
 
 def forward_search(f: ForwardAutomaton, t: Sequence[int]):
@@ -140,24 +134,21 @@ def forward_search(f: ForwardAutomaton, t: Sequence[int]):
     first that accepts consumes the symbol.  On reaching state m the match
     is recorded and the state moves to fail[m] before the next symbol,
     which costs no transition test.  transitions_taken counts every
-    interval test and never exceeds 2n.
+    interval test and never exceeds 2n: every symbol takes one forward
+    test, counted up front as n, and the loop counts the backward tests.
     """
     m = len(f.pattern)
     n = len(t)
-    if m > n:
-        raise PatternLongerThanText(f"pattern length {m} exceeds text length {n}")
-    reps = f._rep0
+    check_fits(m, n)
+    back = f.pattern.back
     backward = f.backward
     fail_m = f.fail[m]
     x = 0
-    trans = 0
+    trans = n
     out = []
-    for i0 in range(n):
-        c = t[i0]
-        base = i0 - x
-        x1, x2 = reps[x]
-        trans += 1
-        if (x1 is None or t[base + x1] < c) and (x2 is None or c < t[base + x2]):
+    for i0, c in enumerate(t):
+        d1, d2 = back[x]
+        if (d1 is None or t[i0 - d1] < c) and (d2 is None or c < t[i0 - d2]):
             x += 1
             if x == m:
                 out.append(Occurrence(i0 - m + 2))
@@ -165,8 +156,8 @@ def forward_search(f: ForwardAutomaton, t: Sequence[int]):
             continue
         for low, high, target in backward[x]:
             trans += 1
-            if (low is None or t[base + low - 1] < c) and \
-               (high is None or c < t[base + high - 1]):
+            if (low is None or t[i0 - low] < c) and \
+               (high is None or c < t[i0 - high]):
                 x = target
                 break
         else:  # pragma: no cover - hulls cover every non-forward class

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .core import (Occurrence, Pattern, PatternLike, PatternLongerThanText,
-                   SearchStats, _rep0, rep_table)
+from .core import (Occurrence, Pattern, PatternLike, SearchStats, check_fits,
+                   rep_table)
 
 
 @dataclass(frozen=True)
@@ -23,10 +23,10 @@ class MpAutomaton:
     """Failure-link representation of the forward search automaton.
 
     ``fail[j]`` (for j in 1..m, index 0 unused) is the length of the
-    longest proper order-isomorphic border of the length-j prefix; forward
-    labels are implied by ``pattern.rep``.  Immutable after build, safe for
-    concurrent searches.  ``build_ops`` counts the forward tests and
-    failure steps of the construction, at most 3(m-1).
+    longest proper order-isomorphic border of the length-j prefix; the
+    forward label of state j is ``pattern.back[j]``.  Immutable after
+    build, safe for concurrent searches.  ``build_ops`` counts the forward
+    tests and failure steps of the construction, at most 3(m-1).
     """
 
     pattern: Pattern
@@ -39,13 +39,13 @@ def build_mp(p: PatternLike) -> MpAutomaton:
 
     Reading symbols 2..m from state 0, the state after symbol j is the
     longest proper border of prefix j.  From state i, symbol j extends the
-    border when it lies between the border-window symbols addressed by the
-    rep pair of prefix i+1, the test ``mp_search`` makes; otherwise the
-    state follows its failure link, already set since it is below j.
+    border when it lies between the symbols ``pattern.back[i]`` addresses
+    back from it, the test ``mp_search`` makes; otherwise the state follows
+    its failure link, already set since it is below j.
     """
     pat = rep_table(p)
     vals = pat.values
-    reps = _rep0(pat)
+    back = pat.back
     m = len(pat)
     fail = [0] * (m + 1)
     i = 0
@@ -53,10 +53,9 @@ def build_mp(p: PatternLike) -> MpAutomaton:
     for j in range(1, m):  # 0-based index of the symbol read
         c = vals[j]
         while True:  # state 0 extends on every symbol
-            x1, x2 = reps[i]
+            d1, d2 = back[i]
             ops += 1
-            base = j - i
-            if (x1 is None or vals[base + x1] < c) and (x2 is None or c < vals[base + x2]):
+            if (d1 is None or vals[j - d1] < c) and (d2 is None or c < vals[j - d2]):
                 i += 1
                 break
             i = fail[i]
@@ -68,11 +67,11 @@ def build_mp(p: PatternLike) -> MpAutomaton:
 def mp_search(a: MpAutomaton, t: Sequence[int]):
     """All occurrences of the automaton's pattern in t, with statistics.
 
-    At state x reading t[i], the forward test compares t[i] against the
-    window symbols addressed by the rep pair of prefix x+1, kept as
-    distances back from t[i]; on failure the state follows its failure link
-    and the same symbol is re-tested.  A full match restarts from the
-    border of the whole pattern, so overlapping occurrences are reported.
+    At state x reading t[i], the forward test compares t[i] against
+    t[i-d1] and t[i-d2], where (d1, d2) = ``pattern.back[x]``; on failure
+    the state follows its failure link and the same symbol is re-tested.
+    A full match restarts from the border of the whole pattern, so
+    overlapping occurrences are reported.
     transitions_taken counts every forward test and every failure step; it
     never exceeds 3n.  Only failure steps are counted in the loop: each
     one follows a failed test, every symbol ends with one passing test
@@ -81,10 +80,8 @@ def mp_search(a: MpAutomaton, t: Sequence[int]):
     """
     m = len(a.pattern)
     n = len(t)
-    if m > n:
-        raise PatternLongerThanText(f"pattern length {m} exceeds text length {n}")
-    back = [(None if x1 is None else x - x1, None if x2 is None else x - x2)
-            for x, (x1, x2) in enumerate(_rep0(a.pattern))]
+    check_fits(m, n)
+    back = a.pattern.back
     fail = a.fail
     x = 0
     fails = 0

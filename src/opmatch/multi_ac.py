@@ -1,6 +1,7 @@
 """Aho-Corasick style automaton for sets of order-isomorphic patterns.
 
-Patterns are first normalized symbol by symbol into rep pairs, which makes
+Patterns are first normalized symbol by symbol into their ``back`` pairs
+(rep pairs as distances back from each symbol), which makes
 order-isomorphic patterns literally identical; the trie is built over these
 normalized forms, so duplicates collapse onto one path and every colliding
 pattern id is reported from the shared node.  Failure links come from the
@@ -10,7 +11,7 @@ symbol j is the failure link of the pattern's length-j prefix node.  The
 readers advance in rounds, one symbol each, so every link a reader follows
 is already set.
 
-The children of a node have distinct rep pairs over one prefix, so each
+The children of a node have distinct pairs over one prefix, so each
 stands for its own gap between adjacent prefix values, and the build also
 lists them sorted by gap.  One step, ``_read``, finds the child for a
 symbol by binary-searching that list against values in place and follows
@@ -41,7 +42,7 @@ def make_pattern_set(seqs: Iterable[PatternLike]) -> PatternSet:
 
 
 class AcNode:
-    """Trie node; children by rep pair, and as kids (x1, x2, child) by gap."""
+    """Trie node; children by back pair, and as kids (d1, d2, child) by gap."""
 
     __slots__ = ("depth", "children", "kids", "fail", "outputs", "all_outputs")
 
@@ -77,7 +78,7 @@ def build_ac(ps: PatternSet) -> AcAutomaton:
     for pid, p in enumerate(ps.patterns):
         node = root
         path = [root]
-        for key in p.rep:
+        for key in p.back:
             child = node.children.get(key)
             if child is None:
                 child = node.children[key] = AcNode(node.depth + 1)
@@ -90,9 +91,10 @@ def build_ac(ps: PatternSet) -> AcAutomaton:
         ranks = p.ranks  # a node's patterns order its prefix alike
         for node in path:
             if node.children and not node.kids:
+                depth = node.depth
                 node.kids = tuple(sorted(
-                    ((x1, x2, child) for (x1, x2), child in node.children.items()),
-                    key=lambda kid: 0 if kid[0] is None else ranks[kid[0] - 1]))
+                    ((d1, d2, child) for (d1, d2), child in node.children.items()),
+                    key=lambda kid: 0 if kid[0] is None else ranks[depth - kid[0]]))
 
     build_ops = 0
     j = 1
@@ -116,8 +118,8 @@ def _read(node: AcNode, t: Sequence[int], i0: int):
     """Node reached by reading t[i0] from node, and the tests it took.
 
     The symbols before t[i0] must spell node's string.  Each lookup
-    binary-searches node.kids (left if ``t[base+x1] > c``, right if
-    ``t[base+x2] < c``, else that child); a miss follows the failure link
+    binary-searches node.kids (left if ``t[i0-d1] > c``, right if
+    ``t[i0-d2] < c``, else that child); a miss follows the failure link
     and looks again.  The root's one child takes every symbol, so the loop
     ends.  Tests count the lookups plus the failure steps.
     """
@@ -125,15 +127,14 @@ def _read(node: AcNode, t: Sequence[int], i0: int):
     tests = 0
     while True:
         tests += 1
-        base = i0 - node.depth - 1
         kids = node.kids
         lo, hi = 0, len(kids)
         while lo < hi:
             mid = (lo + hi) // 2
-            x1, x2, child = kids[mid]
-            if x1 is not None and t[base + x1] > c:
+            d1, d2, child = kids[mid]
+            if d1 is not None and t[i0 - d1] > c:
                 hi = mid
-            elif x2 is not None and t[base + x2] < c:
+            elif d2 is not None and t[i0 - d2] < c:
                 lo = mid + 1
             else:
                 return child, tests

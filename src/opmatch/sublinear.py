@@ -24,8 +24,8 @@ from math import ceil, log2
 from operator import add, lt, mul
 from typing import Optional, Sequence
 
-from .core import (Occurrence, PatternLike, PatternLongerThanText,
-                   SearchStats, rep_table, scan_alignments)
+from .core import (Occurrence, PatternLike, SearchStats, check_fits,
+                   rep_table, scan_alignments)
 from .mp_automaton import build_mp, mp_search
 
 
@@ -89,8 +89,7 @@ def sublinear_search(p: PatternLike, t: Sequence[int]):
     pat = rep_table(p)
     m = len(pat)
     n = len(t)
-    if m > n:
-        raise PatternLongerThanText(f"pattern length {m} exceeds text length {n}")
+    check_fits(m, n)
     b = choose_b(m)
     if b is None:
         raise FallbackRequired(f"no backward read length for m={m}")

@@ -13,7 +13,7 @@ import random
 from itertools import permutations
 
 from opmatch.bench import random_permutation
-from opmatch.core import _rep0, rep_table
+from opmatch.core import rep_table
 
 
 def oracle_ranks(seq):
@@ -71,7 +71,9 @@ def oi_border_table(p):
     pat = rep_table(p)
     vals = pat.values
     m = len(vals)
-    reps = _rep0(pat)
+    # 0-based pair positions from rep itself, not back, which build_mp reads
+    reps = [(None if x1 is None else x1 - 1, None if x2 is None else x2 - 1)
+            for x1, x2 in pat.rep]
     fail = [0] * m
     for j in range(2, m + 1):
         best = 0

@@ -95,6 +95,9 @@ class TestRunBench:
             BenchConfig(algo="mp", n=8, trials=1, seed=0)
         with pytest.raises(ValueError):
             BenchConfig(algo="mp", m=9, n=8, trials=1, seed=0)
+        with pytest.raises(ValueError):  # m conflicts with the fixed pattern
+            BenchConfig(algo="mp", m=3, pattern=(4, 12, 6, 16, 10), n=64,
+                        trials=1, seed=0)
 
     def test_counter_sanity(self):
         for algo in ENGINES:

@@ -272,6 +272,13 @@ class TestBench:
         code, _, _ = run(capsys, "bench", "--algo", "mp", "--n", "8")
         assert code == EX_USAGE
 
+    def test_m_with_pattern_file_usage(self, tmp_path, capsys):
+        pat = tmp_path / "p.txt"
+        pat.write_text("4 12 6 16 10\n")
+        code, out, _ = run(capsys, "bench", "--algo", "mp", "--m", "3", "--n", "64",
+                           "--pattern-file", str(pat))
+        assert code == EX_USAGE and out == ""
+
     def test_zero_trials_usage(self, capsys):
         code, out, _ = run(capsys, "bench", "--algo", "mp", "--m", "4", "--n", "8",
                            "--trials", "0")

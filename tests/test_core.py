@@ -137,7 +137,13 @@ class TestRepTable:
         rng = random.Random(2)
         for _ in range(300):
             vals = random_distinct(rng, rng.randint(1, 64))
-            assert list(rep_table(vals).rep) == oracle_rep_pairs(vals)
+            pat = rep_table(vals)
+            want = oracle_rep_pairs(vals)
+            assert list(pat.rep) == want
+            # back holds the same pairs as distances back from symbol j
+            assert list(pat.back) == [
+                (None if x1 is None else j + 1 - x1, None if x2 is None else j + 1 - x2)
+                for j, (x1, x2) in enumerate(want)]
 
     def test_rep_positions_point_at_neighbours(self):
         p = rep_table([4, 12, 6, 16, 10])
@@ -237,7 +243,7 @@ def test_public_names_resolve_and_removed_names_are_gone():
                  "materialized_states", "check_extension", "PositionOutOfRange",
                  "is_order_isomorphic", "IntSeq", "oi_border_table", "FactorTree",
                  "failure_targets", "match_depth", "backward_for", "m_total",
-                 "normalize_set", "query", "__contains__"):
+                 "normalize_set", "query", "__contains__", "_rep0"):
         assert name not in opmatch.__all__
         assert not any(name in ns for ns in namespaces), name
     # no engine uses the predecessor set, so the package does not export it

@@ -68,18 +68,19 @@ def step(auto, window, c):
 
     State m first moves to fail[m] on the last fail[m] window symbols; then
     the forward label is tried, then the backward transitions in list
-    order, and the first that accepts is taken.
+    order, and the first that accepts is taken.  A bound d is a distance
+    back from c, which follows the window, so it names window[x - d].
     """
     x = len(window)
     if x == len(auto.pattern):
         x = auto.fail[x]
         window = window[len(window) - x:]
-    x1, x2 = auto.pattern.rep[x]
-    if (x1 is None or window[x1 - 1] < c) and (x2 is None or c < window[x2 - 1]):
+    d1, d2 = auto.pattern.back[x]
+    if (d1 is None or window[x - d1] < c) and (d2 is None or c < window[x - d2]):
         return x + 1
     for low, high, target in auto.backward[x]:
-        if (low is None or window[low - 1] < c) and \
-           (high is None or c < window[high - 1]):
+        if (low is None or window[x - low] < c) and \
+           (high is None or c < window[x - high]):
             return target
     raise AssertionError(f"no transition of state {x} accepted {c}")
 

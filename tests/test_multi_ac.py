@@ -40,7 +40,7 @@ def node_string(auto, node):
     """The node's string: the prefix of a pattern whose path passes through it."""
     for p in auto.pattern_set.patterns:
         walk = auto.root
-        for key in p.rep[:node.depth]:
+        for key in p.back[:node.depth]:
             walk = walk.children[key]
         if walk is node:
             return p.values[:node.depth]
