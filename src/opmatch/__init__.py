@@ -9,7 +9,7 @@ alongside their occurrence lists.
 """
 
 from .core import (DuplicateValue, EmptyInput, InputError, Occurrence,
-                   Pattern, PatternLongerThanText, RepPair, SearchStats,
+                   Pattern, PatternLongerThanText, SearchStats,
                    naive_search, rank_normalize, rep_table, validate_seq)
 from .mp_automaton import MpAutomaton, build_mp, mp_search
 from .forward_automaton import (ForwardAutomaton, IntervalTransition,
@@ -25,7 +25,7 @@ __all__ = [
     "AcAutomaton", "AcNode", "BenchConfig", "BenchRecord", "DuplicateValue",
     "EmptyInput", "FallbackRequired", "ForwardAutomaton", "InputError",
     "IntervalTransition", "MpAutomaton", "Occurrence", "Pattern",
-    "PatternLongerThanText", "PatternSet", "RepPair", "SearchStats", "ac_search",
+    "PatternLongerThanText", "PatternSet", "SearchStats", "ac_search",
     "build_ac", "build_factor_tree", "build_forward", "build_mp", "choose_b",
     "forward_search", "make_pattern_set", "mp_search", "naive_search",
     "random_permutation", "rank_normalize", "rep_table", "run_bench",

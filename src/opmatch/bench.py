@@ -126,12 +126,11 @@ def run_bench(cfg: BenchConfig) -> list:
     configured.  Elapsed time covers build plus search.
     """
     records = []
+    fixed = None if cfg.pattern is None else rep_table(cfg.pattern)
     for k in range(cfg.trials):
         text_seed = cfg.seed * 1000003 + 2 * k
-        if cfg.pattern is not None:
-            pattern = rep_table(cfg.pattern)
-        else:
-            pattern = rep_table(random_permutation(cfg.m, text_seed + 1))
+        pattern = (fixed if fixed is not None
+                   else rep_table(random_permutation(cfg.m, text_seed + 1)))
         text = random_permutation(cfg.n, text_seed)
         t0 = time.perf_counter_ns()
         occ, stats = ENGINES[cfg.algo](pattern, text)

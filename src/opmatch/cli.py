@@ -114,7 +114,7 @@ def cmd_search(args) -> int:
     pattern = rep_table(_read_tokens(args.pattern))  # rep_table validates
     text = validate_seq(_read_tokens(args.text))
     occ, stats = bench_mod.ENGINES[args.algo](pattern, text)
-    if args.algo == "sublinear" and choose_b(len(pattern)) is None and not args.quiet:
+    if args.algo == "sublinear" and choose_b(len(pattern)) is None:
         print("sublinear: pattern too short for backward-window search; "
               "falling back to mp", file=sys.stderr)
     _write_lines(f"{o.position}\n" for o in occ)
@@ -171,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--algo", choices=bench_mod.ENGINES, default="mp")
     p_search.add_argument("--stats", action="store_true",
                           help="append a '# stats:' line")
-    p_search.add_argument("--quiet", action="store_true",
-                          help="suppress the sublinear fallback notice")
     p_search.add_argument("pattern")
     p_search.add_argument("text")
     p_search.set_defaults(func=cmd_search)

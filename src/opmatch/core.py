@@ -4,9 +4,10 @@ Two equal-length sequences of distinct integers are order-isomorphic when
 every pair of positions compares the same way in both.  A pattern occurs in
 a text at position i when it is order-isomorphic to the length-m text window
 starting there.  This module holds the shared vocabulary (validated
-sequences, rank normalization, predecessor/successor position pairs) and
-one oracle, ``naive_search``, the slow-but-obviously-correct scan that every
-search engine in the package is tested against.
+sequences, rank normalization, and rep pairs: the distances back from each
+symbol to the largest smaller and the smallest larger symbol before it)
+and one oracle, ``naive_search``, the slow-but-obviously-correct scan that
+every search engine in the package is tested against.
 
 All positions in public contracts are 1-based.  Sentinel "no predecessor" /
 "no successor" is represented as ``None``, never as a magic integer.
@@ -42,21 +43,6 @@ class PatternLongerThanText(InputError):
     """Searching is undefined when the pattern is longer than the text."""
 
 
-class RepPair(NamedTuple):
-    """Positions of the predecessor and successor values within a prefix.
-
-    For the j-th symbol of a sequence, ``x1`` is the position (within the
-    first j-1 symbols) of the largest value smaller than symbol j, and
-    ``x2`` the position of the smallest value larger than it.  ``None``
-    means no such value exists on that side.  Knowing this single pair is
-    enough to test in constant time whether extending an order-isomorphic
-    window by one symbol keeps it order-isomorphic.
-    """
-
-    x1: Optional[int]
-    x2: Optional[int]
-
-
 class Occurrence(NamedTuple):
     """A 1-based match position, tagged with a pattern id (0 if single)."""
 
@@ -84,18 +70,20 @@ class Pattern:
     """A validated pattern with its rank normalization and rep pairs.
 
     ``ranks`` is the permutation of 1..m obtained by replacing every value
-    with its rank; ``rep[j-1]`` is the RepPair of the j-th symbol relative
-    to the prefix before it (so ``rep[0]`` is always ``(None, None)``).
-    ``back[j]`` is ``rep[j]`` written as distances back from symbol j
-    (0-based): ``(j+1-x1, j+1-x2)``, with ``None`` kept.  Every engine
-    reads the text through ``back``: the pair tests a symbol t[i] against
-    t[i-d1] and t[i-d2], whatever the window's start.  Immutable and safe
-    to share between concurrent searches.
+    with its rank.  ``back[j]`` is the rep pair of symbol j (0-based):
+    ``(d1, d2)``, where symbol j-d1 is the largest of the symbols before j
+    that is smaller than symbol j, and symbol j-d2 the smallest that is
+    larger.  ``None`` means no such symbol exists on that side, so
+    ``back[0]`` is always ``(None, None)``.  This one pair is enough to
+    test in constant time whether extending an order-isomorphic window by
+    one symbol keeps it order-isomorphic, and every engine reads the text
+    through it: symbol t[i] is tested against t[i-d1] and t[i-d2], whatever
+    the window's start.  Immutable and safe to share between concurrent
+    searches.
     """
 
     values: tuple
     ranks: tuple
-    rep: tuple
     back: tuple
 
     def __len__(self) -> int:
@@ -139,8 +127,8 @@ def rank_normalize(s: Sequence[int]) -> tuple:
     return tuple(rank[v] for v in s)
 
 
-def rep_sequence(values: Sequence[int]) -> list:
-    """RepPair of every symbol relative to the prefix before it.
+def back_pairs(values: Sequence[int]) -> list:
+    """The rep pair of every symbol as distances back from it (``Pattern.back``).
 
     Runs in O(m log m): sort once, then sweep positions from last to first
     through a doubly linked list ordered by value.  Just before unlinking
@@ -154,32 +142,27 @@ def rep_sequence(values: Sequence[int]) -> list:
     for a, b in zip(order, order[1:]):
         nxt[a] = b
         prev[b] = a
-    rep: list = [None] * m
+    back: list = [None] * m
     for j in range(m - 1, -1, -1):
         a = prev[j]
         b = nxt[j]
-        rep[j] = RepPair(None if a is None else a + 1,
-                         None if b is None else b + 1)
+        back[j] = (None if a is None else j - a, None if b is None else j - b)
         if a is not None:
             nxt[a] = b
         if b is not None:
             prev[b] = a
-    return rep
+    return back
 
 
 def rep_table(p: PatternLike) -> Pattern:
     """Validate a sequence and build its Pattern (ranks plus rep pairs).
 
-    A Pattern is returned unchanged.  This is the one place where rep pairs
-    are converted into the distances of ``Pattern.back``.
+    A Pattern is returned unchanged.
     """
     if isinstance(p, Pattern):
         return p
     values = validate_seq(p, require_nonempty=True)
-    rep = tuple(rep_sequence(values))
-    back = tuple((None if x1 is None else j - x1, None if x2 is None else j - x2)
-                 for j, (x1, x2) in enumerate(rep, 1))
-    return Pattern(values, rank_normalize(values), rep, back)
+    return Pattern(values, rank_normalize(values), tuple(back_pairs(values)))
 
 
 def check_fits(m: int, n: int) -> None:

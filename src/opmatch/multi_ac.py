@@ -1,10 +1,11 @@
 """Aho-Corasick style automaton for sets of order-isomorphic patterns.
 
-Patterns are first normalized symbol by symbol into their ``back`` pairs
-(rep pairs as distances back from each symbol), which makes
-order-isomorphic patterns literally identical; the trie is built over these
-normalized forms, so duplicates collapse onto one path and every colliding
-pattern id is reported from the shared node.  Failure links come from the
+Patterns are first normalized symbol by symbol into their ``back`` pairs:
+each symbol's rep pair, the distances back to the largest smaller and the
+smallest larger symbol before it.  This makes order-isomorphic patterns
+literally identical; the trie is built over these normalized forms, so
+duplicates collapse onto one path and every colliding pattern id is
+reported from the shared node.  Failure links come from the
 classical construction: every pattern is read, from its second symbol on,
 through the automaton built so far, and the node a reader reaches after
 symbol j is the failure link of the pattern's length-j prefix node.  The

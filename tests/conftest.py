@@ -2,18 +2,16 @@
 
 The oracles here deliberately re-derive everything from definitions
 (sorting, exhaustive scans) instead of reusing package internals, so they
-stay independent of the code paths they certify.  The one exception is
-``oi_border_table``: it builds on ``rep_table``, which is checked against
-``oracle_rep_pairs``, and never on ``build_mp``.
+stay independent of the code paths they certify.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect, insort
 from itertools import permutations
 
 from opmatch.bench import random_permutation
-from opmatch.core import rep_table
 
 
 def oracle_ranks(seq):
@@ -41,6 +39,24 @@ def oracle_rep_pairs(values):
     return out
 
 
+def pairs_by_insertion(values):
+    """Predecessor/successor positions per prefix by binary search.
+
+    The same 1-based pairs as ``oracle_rep_pairs``: symbol j's pair is the
+    neighbours of its insertion point in the sorted (value, position)
+    pairs of the symbols before it.  Fast enough for the border and MP
+    oracles.
+    """
+    seen = []
+    out = []
+    for j, v in enumerate(values, 1):
+        k = bisect(seen, (v, j))
+        out.append((seen[k - 1][1] if k else None,
+                    seen[k][1] if k < len(seen) else None))
+        insort(seen, (v, j))
+    return out
+
+
 def oracle_insertion_ranks(values):
     """Per symbol, how many of the symbols before it are smaller."""
     return [sum(1 for u in values[:j] if u < v) for j, v in enumerate(values)]
@@ -65,15 +81,14 @@ def oi_border_table(p):
 
     For each prefix length j, candidate border lengths are tried from j-1
     downward; each candidate suffix is re-verified from scratch against the
-    prefix rep pairs.  Test oracle for the failure-link construction; no
-    border structure is reused between candidates.
+    prefix rep pairs of ``pairs_by_insertion``.  Test oracle for the
+    failure-link construction; no border structure is reused between
+    candidates.
     """
-    pat = rep_table(p)
-    vals = pat.values
+    vals = tuple(p)
     m = len(vals)
-    # 0-based pair positions from rep itself, not back, which build_mp reads
     reps = [(None if x1 is None else x1 - 1, None if x2 is None else x2 - 1)
-            for x1, x2 in pat.rep]
+            for x1, x2 in pairs_by_insertion(vals)]
     fail = [0] * m
     for j in range(2, m + 1):
         best = 0
@@ -99,13 +114,14 @@ def oi_border_table(p):
 def counted_mp(a, t):
     """Occurrence positions and transition count of an MP automaton's search.
 
-    Walks ``a``'s failure links with the pattern's 1-based rep pairs and
-    counts as it goes: one for every forward test, one for every failure
-    step, and one for the step to the border after every match.  The count
-    that ``mp_search`` derives must equal this one.
+    Walks ``a``'s failure links with the pattern's 1-based rep pairs from
+    ``pairs_by_insertion`` and counts as it goes: one for every forward
+    test, one for every failure step, and one for the step to the border
+    after every match.  The count that ``mp_search`` derives must equal
+    this one.
     """
     m = len(a.pattern)
-    rep = a.pattern.rep
+    rep = pairs_by_insertion(a.pattern.values)
     x = 0
     count = 0
     found = []

@@ -3,6 +3,7 @@ package's public names."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import pkgutil
 import random
@@ -12,13 +13,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import opmatch
-from opmatch.core import (DuplicateValue, EmptyInput, Occurrence, RepPair,
+from opmatch.core import (DuplicateValue, EmptyInput, Occurrence, Pattern,
                           SearchStats, naive_search, rank_normalize, rep_table,
                           validate_seq)
 
 from conftest import (oi_border_table, oracle_border_table, oracle_oi,
                       oracle_positions, oracle_ranks, oracle_rep_pairs,
-                      rank_patterns, random_distinct)
+                      pairs_by_insertion, rank_patterns, random_distinct)
 
 distinct_lists = st.lists(st.integers(-1000, 1000), min_size=1, max_size=40,
                           unique=True)
@@ -119,15 +120,13 @@ class TestOrderIsomorphic:
 class TestRepTable:
     def test_example(self):
         p = rep_table([4, 12, 6, 16, 10])
-        assert p.rep == (RepPair(None, None), RepPair(1, None), RepPair(1, 2),
-                         RepPair(2, None), RepPair(3, 2))
+        assert p.back == ((None, None), (1, None), (2, 1), (2, None), (2, 3))
 
     def test_singleton(self):
-        assert rep_table([7]).rep == (RepPair(None, None),)
+        assert rep_table([7]).back == ((None, None),)
 
     def test_ascending(self):
-        assert rep_table([1, 2, 3]).rep == (RepPair(None, None), RepPair(1, None),
-                                            RepPair(2, None))
+        assert rep_table([1, 2, 3]).back == ((None, None), (1, None), (1, None))
 
     def test_ranks_are_permutation(self):
         p = rep_table([40, -3, 17])
@@ -139,7 +138,7 @@ class TestRepTable:
             vals = random_distinct(rng, rng.randint(1, 64))
             pat = rep_table(vals)
             want = oracle_rep_pairs(vals)
-            assert list(pat.rep) == want
+            assert pairs_by_insertion(vals) == want
             # back holds the same pairs as distances back from symbol j
             assert list(pat.back) == [
                 (None if x1 is None else j + 1 - x1, None if x2 is None else j + 1 - x2)
@@ -148,13 +147,13 @@ class TestRepTable:
     def test_rep_positions_point_at_neighbours(self):
         p = rep_table([4, 12, 6, 16, 10])
         vals = p.values
-        for j, (x1, x2) in enumerate(p.rep):
-            if x1 is not None:
-                assert vals[x1 - 1] < vals[j]
-                assert not any(vals[x1 - 1] < vals[i] < vals[j] for i in range(j))
-            if x2 is not None:
-                assert vals[j] < vals[x2 - 1]
-                assert not any(vals[j] < vals[i] < vals[x2 - 1] for i in range(j))
+        for j, (d1, d2) in enumerate(p.back):
+            if d1 is not None:
+                assert 0 < d1 <= j and vals[j - d1] < vals[j]
+                assert not any(vals[j - d1] < vals[i] < vals[j] for i in range(j))
+            if d2 is not None:
+                assert 0 < d2 <= j and vals[j] < vals[j - d2]
+                assert not any(vals[j] < vals[i] < vals[j - d2] for i in range(j))
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
@@ -243,9 +242,12 @@ def test_public_names_resolve_and_removed_names_are_gone():
                  "materialized_states", "check_extension", "PositionOutOfRange",
                  "is_order_isomorphic", "IntSeq", "oi_border_table", "FactorTree",
                  "failure_targets", "match_depth", "backward_for", "m_total",
-                 "normalize_set", "query", "__contains__", "_rep0"):
+                 "normalize_set", "query", "__contains__", "_rep0", "RepPair",
+                 "rep_sequence"):
         assert name not in opmatch.__all__
         assert not any(name in ns for ns in namespaces), name
+    # vars() does not list dataclass fields without defaults
+    assert [f.name for f in dataclasses.fields(Pattern)] == ["values", "ranks", "back"]
     # no engine uses the predecessor set, so the package does not export it
     for name in ("PredSet", "KeyAbsent", "KeyOutOfUniverse", "KeyPresent"):
         assert name not in opmatch.__all__

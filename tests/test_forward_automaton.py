@@ -52,13 +52,13 @@ def brute_class_targets(pat, x):
         classes.append((alpha, q))
     forward_class = None
     if x < m:
-        x1, x2 = pat.rep[x]
-        if x1 is None:
+        d1, d2 = pat.back[x]
+        if d1 is None:
             forward_class = 0
-        elif x2 is None:
+        elif d2 is None:
             forward_class = x
         else:
-            forward_class = win.index(x1) + 1
+            forward_class = win.index(x + 1 - d1) + 1
         assert classes[forward_class][1] == x + 1
     return classes, forward_class
 

@@ -8,7 +8,7 @@ from itertools import permutations
 import pytest
 
 from opmatch.bench import random_permutation
-from opmatch.core import (EmptyInput, Occurrence, RepPair, naive_search,
+from opmatch.core import (EmptyInput, Occurrence, naive_search,
                           rank_normalize, rep_table)
 from opmatch.mp_automaton import build_mp, mp_search
 from opmatch.multi_ac import ac_search, build_ac, make_pattern_set
@@ -62,18 +62,17 @@ def assert_same_build(a_mp, a_ac):
 class TestNormalizeSet:
     def test_running_example(self):
         ps = make_pattern_set([[4, 12, 6, 16, 10]])
-        assert ps.patterns[0].rep == (RepPair(None, None), RepPair(1, None),
-                                      RepPair(1, 2), RepPair(2, None),
-                                      RepPair(3, 2))
+        assert ps.patterns[0].back == ((None, None), (1, None), (2, 1),
+                                       (2, None), (2, 3))
 
     def test_isomorphic_patterns_share_form(self):
         ps = make_pattern_set([[4, 12, 6, 16, 10], [1, 4, 2, 5, 3]])
         first, second = ps.patterns
-        assert first.rep == second.rep
+        assert first.back == second.back
 
     def test_descending_pair(self):
         ps = make_pattern_set([[2, 1]])
-        assert ps.patterns[0].rep == (RepPair(None, None), RepPair(None, 1))
+        assert ps.patterns[0].back == ((None, None), (None, 1))
 
     def test_empty_set_and_empty_pattern_raise_empty_input(self):
         for seqs in ([], [[1, 2], []]):
