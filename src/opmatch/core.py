@@ -115,16 +115,18 @@ def validate_seq(raw: Iterable[int], require_nonempty: bool = False) -> tuple:
 
 
 def rank_normalize(s: Sequence[int]) -> tuple:
-    """Replace each value by its rank (1 = smallest) within the sequence."""
+    """Replace each value by its rank (1 = smallest) within the sequence.
+
+    A repeated value would silently corrupt every engine: it raises
+    DuplicateValue at the first two positions of the smallest such value.
+    """
     order = sorted(s)
-    rank = {}
-    for i, v in enumerate(order):
-        if v in rank:  # duplicates would silently corrupt every engine
-            first = s.index(v)
-            second = s.index(v, first + 1)
-            raise DuplicateValue(first + 1, second + 1, v)
-        rank[v] = i + 1
-    return tuple(rank[v] for v in s)
+    rank = {v: i for i, v in enumerate(order, 1)}
+    if len(rank) < len(s):
+        v = next(a for a, b in zip(order, order[1:]) if a == b)
+        first = s.index(v)
+        raise DuplicateValue(first + 1, s.index(v, first + 1) + 1, v)
+    return tuple(map(rank.__getitem__, s))
 
 
 def back_pairs(values: Sequence[int]) -> list:

@@ -10,19 +10,26 @@ classical construction: every pattern is read, from its second symbol on,
 through the automaton built so far, and the node a reader reaches after
 symbol j is the failure link of the pattern's length-j prefix node.  The
 readers advance in rounds, one symbol each, so every link a reader follows
-is already set.
+is already set; a prefix node shared by several patterns is read once.
 
 The children of a node have distinct pairs over one prefix, so each
 stands for its own gap between adjacent prefix values, and the build also
-lists them sorted by gap.  One step, ``_read``, finds the child for a
-symbol by binary-searching that list against values in place and follows
-failure links on a miss.  The search runs it over the text, and each
-reader over its own pattern's values, as the single-pattern builder does.
+lists them sorted by gap.  One step, ``_scan``, reads symbols in place:
+it tests a node's only child directly (``AcNode.one``), binary-searches
+the list of a node with several, and follows failure links on a miss.  A
+node without children has nothing to look up, so the step leaves it by
+its failure link (``AcNode.after``) before the next symbol.  The search
+runs the step once over the whole text, and each reader over one symbol
+of its own pattern per round, as the single-pattern builder does.  The
+search notes only the positions at which each node with outputs is
+reached, and expands them into occurrences afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add
 from typing import Iterable, Sequence
 
 from .core import EmptyInput, Occurrence, PatternLike, SearchStats, rep_table
@@ -43,38 +50,61 @@ def make_pattern_set(seqs: Iterable[PatternLike]) -> PatternSet:
 
 
 class AcNode:
-    """Trie node; children by back pair, and as kids (d1, d2, child) by gap."""
+    """Trie node; children by back pair, and as kids (d1, d2, child) by gap.
 
-    __slots__ = ("depth", "children", "kids", "fail", "outputs", "all_outputs")
+    ``one`` is the only kid of a node with exactly one child, else None.
+    ``after`` is the node the next symbol is read from: ``fail`` for a node
+    without children, the node itself otherwise.  ``hit`` numbers the nodes
+    with outputs (None for the rest), so that a search can note where it
+    reached each one.
+    """
+
+    __slots__ = ("depth", "children", "kids", "one", "after", "fail", "outputs",
+                 "all_outputs", "hit")
 
     def __init__(self, depth: int):
         self.depth = depth
         self.children: dict = {}
         self.kids: tuple = ()
+        self.one = None
+        self.after = self
         self.fail = None
         self.outputs: list = []
         self.all_outputs: tuple = ()
+        self.hit = None
 
 
 @dataclass(frozen=True)
 class AcAutomaton:
-    """Immutable multi-pattern automaton; concurrent searches are safe."""
+    """Immutable multi-pattern automaton; concurrent searches are safe.
+
+    ``hit_outputs[k]`` is the ``all_outputs`` of the node whose ``hit`` is k.
+    """
 
     root: AcNode
     pattern_set: PatternSet
     node_count: int
     build_ops: int
+    hit_outputs: tuple
 
 
 def build_ac(ps: PatternSet) -> AcAutomaton:
     """Trie of the normalized patterns with failure links and outputs.
 
-    build_ops counts the child lookups and failure steps of all readers,
-    as ``build_mp`` counts them for one pattern.
+    A reader reads symbol j only if its length-j prefix node has no failure
+    link yet.  Otherwise an earlier reader of an order-isomorphic prefix has
+    set it, and reading the same prefix reaches the same node, so the
+    reader takes that link and reads each trie node's symbol at most once.
+    build_ops counts the child lookups and failure steps of these reads, as
+    ``build_mp`` counts them for one pattern, and one hop for each read that
+    starts on a node without children (a pattern's end), which is left by
+    its failure link without a lookup.  A reader of a single pattern never
+    stands on the pattern's end and shares no node, so there the count is
+    ``build_mp``'s.
     """
     root = AcNode(0)
     root.fail = root
-    node_count = 1
+    nodes = [root]
     readers = []  # [path from the root, values, current node]
     for pid, p in enumerate(ps.patterns):
         node = root
@@ -83,7 +113,7 @@ def build_ac(ps: PatternSet) -> AcAutomaton:
             child = node.children.get(key)
             if child is None:
                 child = node.children[key] = AcNode(node.depth + 1)
-                node_count += 1
+                nodes.append(child)
             node = child
             path.append(node)
         node.outputs.append(pid)
@@ -92,55 +122,89 @@ def build_ac(ps: PatternSet) -> AcAutomaton:
         ranks = p.ranks  # a node's patterns order its prefix alike
         for node in path:
             if node.children and not node.kids:
-                depth = node.depth
-                node.kids = tuple(sorted(
-                    ((d1, d2, child) for (d1, d2), child in node.children.items()),
-                    key=lambda kid: 0 if kid[0] is None else ranks[depth - kid[0]]))
+                kids = [(d1, d2, child) for (d1, d2), child in node.children.items()]
+                if len(kids) == 1:
+                    node.one = kids[0]
+                else:
+                    depth = node.depth
+                    kids.sort(key=lambda kid: 0 if kid[0] is None else ranks[depth - kid[0]])
+                node.kids = tuple(kids)
 
     build_ops = 0
     j = 1
     while readers:
         for r in readers:
             path, values, f = r
-            if j > 1:  # read symbol j from the node of symbols 2..j-1
-                f, tests = _read(f, values, j - 1)
-                build_ops += tests
-                r[2] = f
             v = path[j]
             if v.fail is None:
+                if j > 1:  # read symbol j from the node of symbols 2..j-1
+                    f, fails, hops = _scan(f, values, j - 1, j, None)
+                    build_ops += 1 + 2 * fails + hops
                 v.fail = f
                 v.all_outputs = tuple(v.outputs) + f.all_outputs
+                if not v.children:
+                    v.after = f
+            r[2] = v.fail  # one read per node: patterns through v share it
         j += 1
         readers = [r for r in readers if len(r[0]) > j]
-    return AcAutomaton(root, ps, node_count, build_ops)
+
+    hit_outputs = []
+    for node in nodes:
+        if node.all_outputs:
+            node.hit = len(hit_outputs)
+            hit_outputs.append(node.all_outputs)
+    return AcAutomaton(root, ps, len(nodes), build_ops, tuple(hit_outputs))
 
 
-def _read(node: AcNode, t: Sequence[int], i0: int):
-    """Node reached by reading t[i0] from node, and the tests it took.
+def _scan(node: AcNode, t: Sequence[int], lo: int, hi: int, hits):
+    """Read t[lo:hi] from node; return the node reached, failure steps, hops.
 
-    The symbols before t[i0] must spell node's string.  Each lookup
-    binary-searches node.kids (left if ``t[i0-d1] > c``, right if
-    ``t[i0-d2] < c``, else that child); a miss follows the failure link
-    and looks again.  The root's one child takes every symbol, so the loop
-    ends.  Tests count the lookups plus the failure steps.
+    The symbols before t[lo] must spell node's string.  Each symbol starts
+    from ``node.after``, a hop when that is the failure link.  The lookup
+    tests the only kid directly, or binary-searches node.kids (left if
+    ``t[i0-d1] > c``, right if ``t[i0-d2] < c``, else that child); a miss
+    follows the failure link and looks again.  The root's one child takes
+    every symbol, so the loop ends.  Each symbol costs one lookup that
+    succeeds, and each failure step one that missed.  Every index i0 at
+    which a node with a ``hit`` number is reached is appended to
+    ``hits[node.hit]``; the build numbers nodes only after its readers are
+    done, so they pass no list.
     """
-    c = t[i0]
-    tests = 0
-    while True:
-        tests += 1
-        kids = node.kids
-        lo, hi = 0, len(kids)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            d1, d2, child = kids[mid]
-            if d1 is not None and t[i0 - d1] > c:
-                hi = mid
-            elif d2 is not None and t[i0 - d2] < c:
-                lo = mid + 1
+    fails = hops = 0
+    for i0 in range(lo, hi):
+        after = node.after
+        if after is not node:
+            node = after
+            hops += 1
+        c = t[i0]
+        while True:
+            one = node.one
+            if one is not None:
+                d1, d2, child = one
+                if (d1 is None or t[i0 - d1] < c) and (d2 is None or c < t[i0 - d2]):
+                    node = child
+                    break
             else:
-                return child, tests
-        node = node.fail
-        tests += 1
+                kids = node.kids
+                a, b = 0, len(kids)
+                while a < b:
+                    mid = (a + b) // 2
+                    d1, d2, child = kids[mid]
+                    if d1 is not None and t[i0 - d1] > c:
+                        b = mid
+                    elif d2 is not None and t[i0 - d2] < c:
+                        a = mid + 1
+                    else:
+                        break
+                if a < b:
+                    node = child
+                    break
+            node = node.fail
+            fails += 1
+        k = node.hit
+        if k is not None:
+            hits[k].append(i0)
+    return node, fails, hops
 
 
 def ac_search(a: AcAutomaton, t: Sequence[int]):
@@ -148,21 +212,26 @@ def ac_search(a: AcAutomaton, t: Sequence[int]):
 
     t must hold pairwise-distinct values (see ``validate_seq``); a repeated
     value gives undefined results.  Output ids cover every order-isomorphic
-    duplicate of a matched pattern.  Reads the text in place with ``_read``.
-    transitions_taken counts child lookups plus failure steps, as
-    ``mp_search`` does on one pattern.
+    duplicate of a matched pattern.  One ``_scan`` reads the whole text and
+    notes, per node with outputs, the end indexes at which it was reached;
+    each (node, pattern id) pair then expands into its occurrences at C
+    speed, and one sort merges these sorted runs.
+    transitions_taken counts child lookups, failure steps and the hops off
+    nodes without children, as ``mp_search`` does on one pattern: it is
+    n + 2 * failure steps + hops, with the hop off the node reached by the
+    last symbol included.
     """
     lengths = [len(p) for p in a.pattern_set.patterns]
-    node = a.root
-    trans = 0
+    hits = [[] for _ in a.hit_outputs]
+    node, fails, hops = _scan(a.root, t, 0, len(t), hits)
+    if node.after is not node:
+        hops += 1
     out = []
-    for i0 in range(len(t)):
-        node, tests = _read(node, t, i0)
-        trans += tests
-        for pid in node.all_outputs:
-            out.append(Occurrence(i0 - lengths[pid] + 2, pid))
-        if not node.children:  # dead end, hop before the next symbol
-            node = node.fail
-            trans += 1
+    for ends, pids in zip(hits, a.hit_outputs):
+        if ends:
+            for pid in pids:  # a 0-based end index i0 is a start i0 - m + 2
+                out += map(tuple.__new__, repeat(Occurrence),
+                           zip(map(add, ends, repeat(2 - lengths[pid])), repeat(pid)))
     out.sort()
+    trans = len(t) + 2 * fails + hops
     return out, SearchStats(symbols_read=len(t), transitions_taken=trans)

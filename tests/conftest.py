@@ -143,6 +143,43 @@ def counted_mp(a, t):
     return found, count
 
 
+def counted_ac(auto, t):
+    """Sorted (position, pattern id) pairs and transition count of an AC search.
+
+    Walks ``auto``'s trie, finding a node's child by a linear scan of its
+    ``kids`` and collecting outputs along its failure chain, and counts as
+    it goes: one for every child lookup, one for every failure step, and
+    one for the hop off a node without children after each symbol (the
+    last symbol included).  The count that ``ac_search`` derives must
+    equal this one.
+    """
+    lengths = [len(p) for p in auto.pattern_set.patterns]
+    node = auto.root
+    count = 0
+    found = []
+    for i, c in enumerate(t):
+        while True:
+            count += 1  # child lookup
+            nxt = None
+            for d1, d2, child in node.kids:
+                if (d1 is None or t[i - d1] < c) and (d2 is None or c < t[i - d2]):
+                    nxt = child
+                    break
+            if nxt is not None:
+                node = nxt
+                break
+            node = node.fail
+            count += 1  # failure step
+        out = node
+        while out is not auto.root:
+            found += [(i - lengths[pid] + 2, pid) for pid in out.outputs]
+            out = out.fail
+        if not node.kids:
+            node = node.fail
+            count += 1  # hop off a dead end
+    return sorted(found), count
+
+
 def oracle_positions(pattern_values, text):
     """All 1-based occurrence positions by definitional window comparison."""
     m = len(pattern_values)

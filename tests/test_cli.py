@@ -12,6 +12,8 @@ from opmatch.cli import (EX_DATA, EX_IOERR, EX_OK, EX_USAGE, OUTPUT_BLOCK,
                          _read_tokens, build_parser, main)
 from opmatch.core import InputError
 
+from conftest import oracle_positions
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -189,6 +191,21 @@ class TestMultisearch:
         _, search_out, _ = run(capsys, "search", "--algo", "mp", pats, t)
         assert [line.split("\t")[0] for line in out.splitlines()] == \
             search_out.split()
+
+    def test_many_patterns_ending_at_one_position(self, tmp_path, capsys):
+        # on an ascending text every ascending pattern matches at every
+        # start, so up to four patterns end at each position; the output
+        # must still be sorted by position, then by 1-based id
+        seqs = [[2, 4, 6, 8, 10], [5, 4, 3, 2, 1], [1, 2], [10, 20, 30], [1, 2, 3]]
+        text = list(range(1, 41))
+        pats = write(tmp_path / "pats.txt",
+                     "".join(" ".join(map(str, p)) + "\n" for p in seqs))
+        t = write(tmp_path / "t.txt", " ".join(map(str, text)) + "\n")
+        code, out, _ = run(capsys, "multisearch", pats, t)
+        assert code == EX_OK
+        want = sorted((pos, k) for k, p in enumerate(seqs, 1)
+                      for pos in oracle_positions(p, text))
+        assert out == "".join(f"{pos}\t{k}\n" for pos, k in want)
 
     def test_empty_pattern_line(self, tmp_path, capsys):
         pats = write(tmp_path / "pats.txt", "1 2\n\n2 1\n")

@@ -78,8 +78,12 @@ class TestRankNormalize:
         assert rank_normalize(once) == once
 
     def test_duplicates_rejected(self):
-        with pytest.raises(DuplicateValue):
-            rank_normalize((1, 2, 1))
+        # the first two positions of the smallest repeated value
+        for values, indices in (((1, 2, 1), (1, 3)), ((9, 1, 9, 1), (2, 4)),
+                                ((1, 2, 2, 1), (1, 4))):
+            with pytest.raises(DuplicateValue) as exc:
+                rank_normalize(values)
+            assert (exc.value.index_a, exc.value.index_b) == indices, values
 
 
 class TestOrderIsomorphic:
@@ -243,7 +247,7 @@ def test_public_names_resolve_and_removed_names_are_gone():
                  "is_order_isomorphic", "IntSeq", "oi_border_table", "FactorTree",
                  "failure_targets", "match_depth", "backward_for", "m_total",
                  "normalize_set", "query", "__contains__", "_rep0", "RepPair",
-                 "rep_sequence"):
+                 "rep_sequence", "_read"):
         assert name not in opmatch.__all__
         assert not any(name in ns for ns in namespaces), name
     # vars() does not list dataclass fields without defaults

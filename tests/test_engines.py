@@ -130,6 +130,8 @@ def test_agrees_with_naive_within_bound(name, corpus):
         occ, stats = ENGINES[name](p, t)
         m, n = len(p), len(t)
         assert occ == want, (name, p.values[:8], m, n)
+        # == cannot tell a bare (position, id) tuple from an Occurrence
+        assert all(type(o) is Occurrence for o in occ), (name, p.values[:8], m, n)
         assert BOUNDS[name](stats, m, n), (name, p.values[:8], m, n, stats)
 
 

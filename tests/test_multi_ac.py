@@ -13,7 +13,7 @@ from opmatch.core import (EmptyInput, Occurrence, naive_search,
 from opmatch.mp_automaton import build_mp, mp_search
 from opmatch.multi_ac import ac_search, build_ac, make_pattern_set
 
-from conftest import random_distinct, shaped_patterns, shaped_texts
+from conftest import counted_ac, random_distinct, shaped_patterns, shaped_texts
 
 
 def per_pattern_oracle(ps, t):
@@ -149,6 +149,18 @@ class TestBuildAc:
                         break
                 assert node.fail is want, (seqs, s)
 
+    def test_order_isomorphic_copies_add_no_build_work(self):
+        # a reader takes the failure link of a prefix node another reader
+        # has already read, so copies change neither the trie nor build_ops
+        rng = random.Random(58)
+        for _ in range(30):
+            seqs = [random_permutation(rng.randint(1, 12), rng.getrandbits(30))
+                    for _ in range(rng.randint(1, 6))]
+            copies = [[3 * v - 7 for v in p] for p in seqs if rng.random() < 0.5]
+            base = build_ac(make_pattern_set(seqs))
+            more = build_ac(make_pattern_set(copies + seqs + copies))
+            assert (more.node_count, more.build_ops) == (base.node_count, base.build_ops)
+
     def test_build_ops_linear(self):
         rng = random.Random(52)
         seqs = [random_permutation(rng.randint(1, 40), rng.getrandbits(30))
@@ -249,3 +261,28 @@ class TestAcSearch:
         t = random_permutation(500, 77)
         occ, _ = ac_search(auto, t)
         assert occ == per_pattern_oracle(auto.pattern_set, t)
+
+
+def test_ac_counter_equals_counted_simulation():
+    # ac_search derives its count from failure steps and hops; on random
+    # sets, nested prefixes with a scaled copy and shaped patterns, over
+    # random, monotone and zig-zag texts, it must give the count of a
+    # simulation that counts every lookup, failure step and hop.  Each set
+    # also reads the empty text and its longest pattern itself, whose last
+    # symbol ends on a node without children (the hop after the last symbol)
+    rng = random.Random(57)
+    sets = [[random_permutation(rng.randint(1, 8), rng.getrandbits(30))
+             for _ in range(rng.randint(2, 6))] for _ in range(20)]
+    for _ in range(10):
+        base = random_permutation(rng.randint(2, 12), rng.getrandbits(30))
+        seqs = [base[:rng.randint(1, len(base))] for _ in range(rng.randint(1, 4))]
+        sets.append(seqs + [base, tuple(5 * v + 3 for v in base)])
+    for m in (2, 5, 13):
+        sets.append(shaped_patterns(m))
+        sets.append(shaped_patterns(m) + shaped_patterns(m + 3))
+    for seqs in sets:
+        auto = build_ac(make_pattern_set(seqs))
+        longest = max(seqs, key=len)
+        for t in shaped_texts(rng.randint(20, 300), rng) + [(), tuple(longest)]:
+            occ, stats = ac_search(auto, t)
+            assert (occ, stats.transitions_taken) == counted_ac(auto, t), (seqs, t)
