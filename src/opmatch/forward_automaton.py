@@ -34,9 +34,11 @@ transition tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add
 from typing import NamedTuple, Optional, Sequence
 
-from .core import Occurrence, Pattern, SearchStats, check_fits
+from .core import Pattern, SearchStats, _occurrences, check_fits
 from .mp_automaton import MpAutomaton
 
 
@@ -136,6 +138,8 @@ def forward_search(f: ForwardAutomaton, t: Sequence[int]):
     which costs no transition test.  transitions_taken counts every
     interval test and never exceeds 2n: every symbol takes one forward
     test, counted up front as n, and the loop counts the backward tests.
+    As in ``mp_search``, the loop notes 0-based match ends and the
+    occurrences are made after the scan.
     """
     m = len(f.pattern)
     n = len(t)
@@ -145,13 +149,13 @@ def forward_search(f: ForwardAutomaton, t: Sequence[int]):
     fail_m = f.fail[m]
     x = 0
     trans = n
-    out = []
+    ends = []
     for i0, c in enumerate(t):
         d1, d2 = back[x]
         if (d1 is None or t[i0 - d1] < c) and (d2 is None or c < t[i0 - d2]):
             x += 1
             if x == m:
-                out.append(Occurrence(i0 - m + 2))
+                ends.append(i0)
                 x = fail_m
             continue
         for low, high, target in backward[x]:
@@ -162,4 +166,5 @@ def forward_search(f: ForwardAutomaton, t: Sequence[int]):
                 break
         else:  # pragma: no cover - hulls cover every non-forward class
             raise AssertionError("no transition accepted a distinct symbol")
-    return out, SearchStats(symbols_read=n, transitions_taken=trans)
+    starts = map(add, ends, repeat(2 - m))
+    return _occurrences(starts), SearchStats(symbols_read=n, transitions_taken=trans)

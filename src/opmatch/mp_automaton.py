@@ -12,9 +12,11 @@ same search run over the pattern itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add
 from typing import Sequence
 
-from .core import (Occurrence, Pattern, PatternLike, SearchStats, check_fits,
+from .core import (Pattern, PatternLike, SearchStats, _occurrences, check_fits,
                    rep_table)
 
 
@@ -77,6 +79,8 @@ def mp_search(a: MpAutomaton, t: Sequence[int]):
     one follows a failed test, every symbol ends with one passing test
     (state 0 always extends) and every match takes one step to the border,
     so transitions_taken = n + 2 * failure steps + matches.
+    The loop notes each match's 0-based end index i0; the occurrences,
+    starting at i0 - m + 2, are made in one pass after the scan.
     """
     m = len(a.pattern)
     n = len(t)
@@ -85,7 +89,7 @@ def mp_search(a: MpAutomaton, t: Sequence[int]):
     fail = a.fail
     x = 0
     fails = 0
-    out = []
+    ends = []
     for i0, c in enumerate(t):
         while True:  # state 0 extends on every symbol
             d1, d2 = back[x]
@@ -95,7 +99,8 @@ def mp_search(a: MpAutomaton, t: Sequence[int]):
             fails += 1
         x += 1
         if x == m:
-            out.append(Occurrence(i0 - m + 2))
+            ends.append(i0)
             x = fail[m]
-    trans = n + 2 * fails + len(out)
-    return out, SearchStats(symbols_read=n, transitions_taken=trans)
+    trans = n + 2 * fails + len(ends)
+    starts = map(add, ends, repeat(2 - m))
+    return _occurrences(starts), SearchStats(symbols_read=n, transitions_taken=trans)

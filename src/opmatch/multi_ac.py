@@ -32,7 +32,8 @@ from itertools import repeat
 from operator import add
 from typing import Iterable, Sequence
 
-from .core import EmptyInput, Occurrence, PatternLike, SearchStats, rep_table
+from .core import (EmptyInput, PatternLike, SearchStats, _gc_paused,
+                   _occurrences, rep_table)
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,8 @@ def ac_search(a: AcAutomaton, t: Sequence[int]):
     duplicate of a matched pattern.  One ``_scan`` reads the whole text and
     notes, per node with outputs, the end indexes at which it was reached;
     each (node, pattern id) pair then expands into its occurrences at C
-    speed, and one sort merges these sorted runs.
+    speed, and one sort merges these sorted runs, all with the cyclic
+    collector paused.
     transitions_taken counts child lookups, failure steps and the hops off
     nodes without children, as ``mp_search`` does on one pattern: it is
     n + 2 * failure steps + hops, with the hop off the node reached by the
@@ -227,11 +229,11 @@ def ac_search(a: AcAutomaton, t: Sequence[int]):
     if node.after is not node:
         hops += 1
     out = []
-    for ends, pids in zip(hits, a.hit_outputs):
-        if ends:
-            for pid in pids:  # a 0-based end index i0 is a start i0 - m + 2
-                out += map(tuple.__new__, repeat(Occurrence),
-                           zip(map(add, ends, repeat(2 - lengths[pid])), repeat(pid)))
-    out.sort()
+    with _gc_paused():
+        for ends, pids in zip(hits, a.hit_outputs):
+            if ends:
+                for pid in pids:  # a 0-based end index i0 is a start i0 - m + 2
+                    out += _occurrences(map(add, ends, repeat(2 - lengths[pid])), pid)
+        out.sort()
     trans = len(t) + 2 * fails + hops
     return out, SearchStats(symbols_read=len(t), transitions_taken=trans)

@@ -24,7 +24,7 @@ from math import ceil, log2
 from operator import add, lt, mul
 from typing import Optional, Sequence
 
-from .core import (Occurrence, PatternLike, SearchStats, check_fits,
+from .core import (PatternLike, SearchStats, _occurrences, check_fits,
                    rep_table, scan_alignments)
 from .mp_automaton import build_mp, mp_search
 
@@ -99,7 +99,7 @@ def sublinear_search(p: PatternLike, t: Sequence[int]):
     # r symbols back from the window end folds its rank with radix r.
     steps = list(zip(range(2, b + 1), levels[1:]))
     last_start = n - m + 1
-    out = []
+    starts = []
     reads = 0
     verifications = 0
     e = m
@@ -119,12 +119,12 @@ def sublinear_search(p: PatternLike, t: Sequence[int]):
             lo = e - m + 1
             hi = min(e - b + 1, last_start)
             positions, vreads = scan_alignments(pat, t, lo, hi)
-            out.extend(Occurrence(s) for s in positions)
+            starts += positions
             reads += vreads
             verifications += hi - lo + 1
         e += shift
     stats = SearchStats(symbols_read=reads, verifications=verifications)
-    return out, stats
+    return _occurrences(starts), stats
 
 
 def search_or_fallback(p: PatternLike, t: Sequence[int]):

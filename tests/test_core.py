@@ -4,9 +4,12 @@ package's public names."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import importlib
 import pkgutil
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -14,8 +17,8 @@ from hypothesis import strategies as st
 
 import opmatch
 from opmatch.core import (DuplicateValue, EmptyInput, Occurrence, Pattern,
-                          SearchStats, naive_search, rank_normalize, rep_table,
-                          validate_seq)
+                          SearchStats, _occurrences, naive_search,
+                          rank_normalize, rep_table, validate_seq)
 
 from conftest import (oi_border_table, oracle_border_table, oracle_oi,
                       oracle_positions, oracle_ranks, oracle_rep_pairs,
@@ -195,6 +198,64 @@ class TestNaiveSearch:
         t = tuple(range(100))
         naive_search([2, 1], t, stats)
         assert 0 < stats.symbols_read <= 2 * 99
+
+
+class TestOccurrences:
+    def test_exact_instances(self):
+        occ = _occurrences([3, 1, 7], 2)
+        assert occ == [(3, 2), (1, 2), (7, 2)]
+        assert all(type(o) is Occurrence for o in occ)
+        assert _occurrences(iter([5])) == [Occurrence(5, 0)]
+        assert _occurrences([]) == []
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, enabled):
+        def starts():
+            paused.append(not gc.isenabled())
+            yield 4
+
+        def failing():
+            yield 1
+            raise RuntimeError("starts failed")
+
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            paused = []
+            assert _occurrences(starts()) == [(4, 0)]
+            assert paused == [True]  # the collector is off while it builds
+            assert gc.isenabled() is enabled
+            with pytest.raises(RuntimeError, match="starts failed"):
+                _occurrences(failing())
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_concurrent_pauses_restore_the_collector(self):
+        # every pause saves and restores the process-wide switch; however
+        # threads interleave, the last one out must leave it as it found it
+        def work(k):
+            for _ in range(200):
+                occ = _occurrences(range(k, k + 300), k)
+                if occ != [(s, k) for s in range(k, k + 300)]:
+                    errors.append(k)
+
+        errors = []
+        was, interval = gc.isenabled(), sys.getswitchinterval()
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        try:
+            gc.enable()
+            sys.setswitchinterval(1e-6)
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert errors == []
+            assert gc.isenabled()
+        finally:
+            sys.setswitchinterval(interval)
+            gc.enable() if was else gc.disable()
 
 
 class TestBorderTable:

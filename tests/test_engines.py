@@ -15,6 +15,7 @@ from opmatch.bench import ENGINES, random_permutation
 from opmatch.core import (DuplicateValue, EmptyInput, InputError, Occurrence,
                           PatternLongerThanText, naive_search, rep_table)
 from opmatch.mp_automaton import build_mp, mp_search
+from opmatch.multi_ac import ac_search, build_ac, make_pattern_set
 
 from conftest import (chain_shapes, converging_zigzag, counted_mp, plant_copies,
                       positions, random_distinct, rank_patterns, shaped_texts,
@@ -30,7 +31,11 @@ BOUNDS = {
     "ac": lambda st, m, n: st.symbols_read == n and st.transitions_taken <= 3 * n,
 }
 
-# (pattern, text, positions) by hand; in the last, every window matches
+# (pattern, text, positions) by hand.  Engines note 0-based match ends and
+# shift them to 1-based starts, so the edges are pinned: m == n (one window,
+# matching or not) and a pattern that occurs only at the last start n-m+1,
+# at m = 3 and at m = 16, where sublinear does not fall back.  In the sixth,
+# every window matches.
 KNOWN = [
     ([1, 2], (1, 2, 3, 4), [1, 2, 3]),
     ([2, 1], (1, 2, 3), []),
@@ -38,6 +43,12 @@ KNOWN = [
     ([1], (2, 9), [1, 2]),
     ([1], (9, 8), [1, 2]),
     (range(1, 17), range(1, 2049), list(range(1, 2034))),
+    ([2, 1, 3], (5, 4, 9), [1]),
+    ([2, 1, 3], (4, 5, 9), []),
+    (range(1, 17), range(1, 17), [1]),
+    (range(1, 17), (*range(1, 15), 16, 15), []),
+    ([3, 2, 1], (1, 2, 3, 4, 7, 6, 5), [5]),
+    (range(16, 0, -1), (*range(1, 101), *range(200, 184, -1)), [101]),
 ]
 
 ERRORS = [
@@ -133,6 +144,31 @@ def test_agrees_with_naive_within_bound(name, corpus):
         # == cannot tell a bare (position, id) tuple from an Occurrence
         assert all(type(o) is Occurrence for o in occ), (name, p.values[:8], m, n)
         assert BOUNDS[name](stats, m, n), (name, p.values[:8], m, n, stats)
+
+
+def test_occurrences_are_made_without_per_match_calls(monkeypatch):
+    # engines make their result lists at C speed after the scan; a loop that
+    # went back to calling Occurrence(...) per match would show up here
+    calls = []
+    new = Occurrence.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Occurrence, "__new__", staticmethod(counting_new))
+    assert Occurrence(7) == (7, 0) and len(calls) == 1  # the wrapper counts
+    calls.clear()
+    pattern, text = range(1, 9), range(1, 2001)
+    starts = list(range(1, 1994))
+    results = {name: engine(pattern, text)[0] for name, engine in ENGINES.items()}
+    two = build_ac(make_pattern_set([pattern, range(10, 90, 10)]))
+    results["ac_search"] = ac_search(two, text)[0]
+    assert calls == []
+    for name, occ in results.items():
+        ids = (0, 1) if name == "ac_search" else (0,)
+        assert occ == [(s, i) for s in starts for i in ids], name
+        assert all(type(o) is Occurrence for o in occ), name
 
 
 @pytest.mark.parametrize("name", list(ENGINES))
