@@ -9,10 +9,11 @@ symbol to the largest smaller and the smallest larger symbol before it)
 and one oracle, ``naive_search``, the slow-but-obviously-correct scan that
 every search engine in the package is tested against.
 
-Every engine notes plain integer positions while it scans and hands them
-to ``_occurrences`` once the scan ends; it makes the ``Occurrence`` list at
-C speed with the cyclic garbage collector paused (``_gc_paused``), so no
-Python code runs per match and no collection scans the new objects.
+Every engine notes plain integer positions while it scans and hands them,
+paired with their pattern ids, to ``_occurrences`` once the scan ends; it
+makes the ``Occurrence`` list at C speed with the cyclic garbage collector
+paused, so no Python code runs per match and no collection scans the new
+objects.
 
 All positions in public contracts are 1-based.  Sentinel "no predecessor" /
 "no successor" is represented as ``None``, never as a magic integer.
@@ -21,7 +22,7 @@ All positions in public contracts are 1-based.  Sentinel "no predecessor" /
 from __future__ import annotations
 
 import gc
-from contextlib import contextmanager
+import threading
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
@@ -58,34 +59,37 @@ class Occurrence(NamedTuple):
     pattern_id: int = 0
 
 
-@contextmanager
-def _gc_paused():
-    """Pause the process-wide cyclic garbage collector for a block.
-
-    ``Occurrence`` is a tuple subclass, which the collector never untracks,
-    so making 1e5 of them would trigger collections that scan them all.
-    Objects made in the block must hold only ints: they cannot form
-    reference cycles, so no collection is missed.  The collector's earlier
-    state is restored however the block ends.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+_gc_lock = threading.Lock()
+_gc_depth = 0  # calls of _occurrences now making their lists
+_gc_was_enabled = False  # the collector's state when the first one began
 
 
-def _occurrences(starts: Iterable[int], pattern_id: int = 0) -> list:
-    """One ``Occurrence(s, pattern_id)`` per 1-based start s, made at C speed.
+def _occurrences(pairs: Iterable[tuple]) -> list:
+    """One ``Occurrence(s, pattern_id)`` per (1-based start, id) pair, at C speed.
 
     ``tuple.__new__`` fills each instance directly, skipping the Python
-    ``Occurrence.__new__``, while the collector is paused.
+    ``Occurrence.__new__``.  ``Occurrence`` is a tuple subclass, which the
+    cyclic garbage collector never untracks, so making 1e5 of them would
+    trigger collections that scan them all; the process-wide collector is
+    therefore paused while the list is made.  The new objects hold only
+    ints, so they cannot form cycles and no collection is missed.  Calls
+    in concurrent threads share one pause: the first to begin saves the
+    collector's state and turns it off, and the last to end restores it,
+    also when ``pairs`` raises.
     """
-    with _gc_paused():
-        return list(map(tuple.__new__, repeat(Occurrence),
-                        zip(starts, repeat(pattern_id))))
+    global _gc_depth, _gc_was_enabled
+    with _gc_lock:
+        if _gc_depth == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_depth += 1
+    try:
+        return list(map(tuple.__new__, repeat(Occurrence), pairs))
+    finally:
+        with _gc_lock:
+            _gc_depth -= 1
+            if _gc_depth == 0 and _gc_was_enabled:
+                gc.enable()
 
 
 @dataclass
@@ -256,4 +260,4 @@ def naive_search(p: PatternLike, t: Sequence[int],
     positions, reads = scan_alignments(pat, t, 1, n - m + 1)
     if stats is not None:
         stats.symbols_read += reads
-    return _occurrences(positions)
+    return _occurrences(zip(positions, repeat(0)))

@@ -166,5 +166,5 @@ def forward_search(f: ForwardAutomaton, t: Sequence[int]):
                 break
         else:  # pragma: no cover - hulls cover every non-forward class
             raise AssertionError("no transition accepted a distinct symbol")
-    starts = map(add, ends, repeat(2 - m))
-    return _occurrences(starts), SearchStats(symbols_read=n, transitions_taken=trans)
+    pairs = zip(map(add, ends, repeat(2 - m)), repeat(0))  # end i0: start i0 - m + 2
+    return _occurrences(pairs), SearchStats(symbols_read=n, transitions_taken=trans)

@@ -102,5 +102,5 @@ def mp_search(a: MpAutomaton, t: Sequence[int]):
             ends.append(i0)
             x = fail[m]
     trans = n + 2 * fails + len(ends)
-    starts = map(add, ends, repeat(2 - m))
-    return _occurrences(starts), SearchStats(symbols_read=n, transitions_taken=trans)
+    pairs = zip(map(add, ends, repeat(2 - m)), repeat(0))  # end i0: start i0 - m + 2
+    return _occurrences(pairs), SearchStats(symbols_read=n, transitions_taken=trans)

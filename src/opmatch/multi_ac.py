@@ -28,12 +28,12 @@ reached, and expands them into occurrences afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add
 from typing import Iterable, Sequence
 
-from .core import (EmptyInput, PatternLike, SearchStats, _gc_paused,
-                   _occurrences, rep_table)
+from .core import (EmptyInput, PatternLike, SearchStats, _occurrences,
+                   rep_table)
 
 
 @dataclass(frozen=True)
@@ -215,9 +215,9 @@ def ac_search(a: AcAutomaton, t: Sequence[int]):
     value gives undefined results.  Output ids cover every order-isomorphic
     duplicate of a matched pattern.  One ``_scan`` reads the whole text and
     notes, per node with outputs, the end indexes at which it was reached;
-    each (node, pattern id) pair then expands into its occurrences at C
-    speed, and one sort merges these sorted runs, all with the cyclic
-    collector paused.
+    each (node, pattern id) pair expands into (start, pattern id) pairs,
+    all of which become occurrences in one C-level pass, and one sort
+    merges these sorted runs.
     transitions_taken counts child lookups, failure steps and the hops off
     nodes without children, as ``mp_search`` does on one pattern: it is
     n + 2 * failure steps + hops, with the hop off the node reached by the
@@ -228,12 +228,9 @@ def ac_search(a: AcAutomaton, t: Sequence[int]):
     node, fails, hops = _scan(a.root, t, 0, len(t), hits)
     if node.after is not node:
         hops += 1
-    out = []
-    with _gc_paused():
-        for ends, pids in zip(hits, a.hit_outputs):
-            if ends:
-                for pid in pids:  # a 0-based end index i0 is a start i0 - m + 2
-                    out += _occurrences(map(add, ends, repeat(2 - lengths[pid])), pid)
-        out.sort()
+    out = _occurrences(chain.from_iterable(  # end i0: start i0 - m + 2
+        zip(map(add, ends, repeat(2 - lengths[pid])), repeat(pid))
+        for ends, pids in zip(hits, a.hit_outputs) if ends for pid in pids))
+    out.sort()
     trans = len(t) + 2 * fails + hops
     return out, SearchStats(symbols_read=len(t), transitions_taken=trans)

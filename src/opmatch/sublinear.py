@@ -124,7 +124,7 @@ def sublinear_search(p: PatternLike, t: Sequence[int]):
             verifications += hi - lo + 1
         e += shift
     stats = SearchStats(symbols_read=reads, verifications=verifications)
-    return _occurrences(starts), stats
+    return _occurrences(zip(starts, repeat(0))), stats
 
 
 def search_or_fallback(p: PatternLike, t: Sequence[int]):

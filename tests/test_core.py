@@ -8,8 +8,8 @@ import gc
 import importlib
 import pkgutil
 import random
-import sys
 import threading
+from itertools import repeat
 
 import pytest
 from hypothesis import given
@@ -202,59 +202,61 @@ class TestNaiveSearch:
 
 class TestOccurrences:
     def test_exact_instances(self):
-        occ = _occurrences([3, 1, 7], 2)
+        occ = _occurrences([(3, 2), (1, 2), (7, 2)])
         assert occ == [(3, 2), (1, 2), (7, 2)]
         assert all(type(o) is Occurrence for o in occ)
-        assert _occurrences(iter([5])) == [Occurrence(5, 0)]
+        assert _occurrences(zip(iter([5]), repeat(0))) == [Occurrence(5, 0)]
         assert _occurrences([]) == []
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_state_restored(self, enabled):
-        def starts():
+        def pairs():
             paused.append(not gc.isenabled())
-            yield 4
+            yield 4, 0
 
         def failing():
-            yield 1
-            raise RuntimeError("starts failed")
+            yield 1, 0
+            raise RuntimeError("pairs failed")
 
         was = gc.isenabled()
         try:
             gc.enable() if enabled else gc.disable()
             paused = []
-            assert _occurrences(starts()) == [(4, 0)]
+            assert _occurrences(pairs()) == [(4, 0)]
             assert paused == [True]  # the collector is off while it builds
             assert gc.isenabled() is enabled
-            with pytest.raises(RuntimeError, match="starts failed"):
+            with pytest.raises(RuntimeError, match="pairs failed"):
                 _occurrences(failing())
             assert gc.isenabled() is enabled
         finally:
             gc.enable() if was else gc.disable()
 
-    def test_concurrent_pauses_restore_the_collector(self):
-        # every pause saves and restores the process-wide switch; however
-        # threads interleave, the last one out must leave it as it found it
-        def work(k):
-            for _ in range(200):
-                occ = _occurrences(range(k, k + 300), k)
-                if occ != [(s, k) for s in range(k, k + 300)]:
-                    errors.append(k)
+    def test_overlapping_pauses_end_with_the_last(self):
+        # Y begins, X begins while Y builds, Y ends while X builds: the
+        # collector must stay off until X ends and then be on again
+        def pairs(entered, go_on):
+            entered.set()
+            assert go_on.wait(timeout=30)
+            yield 1, 0
 
-        errors = []
-        was, interval = gc.isenabled(), sys.getswitchinterval()
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        y_in, x_in, x_go = (threading.Event() for _ in range(3))
+        y = threading.Thread(target=_occurrences, args=(pairs(y_in, x_in),))
+        x = threading.Thread(target=_occurrences, args=(pairs(x_in, x_go),))
+        was = gc.isenabled()
         try:
             gc.enable()
-            sys.setswitchinterval(1e-6)
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-            assert not any(th.is_alive() for th in threads)
-            assert errors == []
+            y.start()
+            assert y_in.wait(timeout=30)
+            x.start()
+            y.join(timeout=30)
+            assert not y.is_alive()
+            assert not gc.isenabled()  # X is still building
+            x_go.set()
+            x.join(timeout=30)
+            assert not x.is_alive()
             assert gc.isenabled()
         finally:
-            sys.setswitchinterval(interval)
+            x_go.set()
             gc.enable() if was else gc.disable()
 
 
