@@ -99,6 +99,10 @@ class SearchStats:
     symbols_read counts text-symbol inspections, transitions_taken counts
     automaton transition tests and failure steps, verifications counts
     naive per-start verification checks (backward-window engine only).
+    The sublinear dispatcher's up/down filter (6 <= m < 16) counts the
+    symbols its MP runs read, at most n, and one verification per MP run
+    started at a candidate; the C-level up/down encoding of the text reads
+    every symbol once more and is not counted.
     All counters only ever increase while a search runs.
     """
 

@@ -14,23 +14,33 @@ the current verification range, so the whole range is skipped after only a
 few reads.  If all b symbols are recognized, every start in the range is
 checked naively.  Consecutive verification ranges tile the text exactly, so
 each candidate start is examined once and the result equals the naive scan.
+
+Patterns shorter than 16 have no backward read length, and
+``search_or_fallback`` searches them forward instead.  From m = 6 on it
+filters: every occurrence is an exact occurrence of the pattern's up/down
+code (one byte per adjacent pair, 1 for a rise), so C-level ``bytes.find``
+over the text's code skips the windows that cannot match, and MP's
+automaton verifies the candidates it finds, handing back to ``find`` each
+time its state falls to 1 (Chhabra and Tarhio, "Order-preserving matching
+with filtration", SEA 2014).  Shorter patterns use ``mp_search``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import repeat
+from itertools import islice, repeat
 from math import ceil, log2
 from operator import add, lt, mul
 from typing import Optional, Sequence
 
-from .core import (PatternLike, SearchStats, _occurrences, check_fits,
-                   rep_table, scan_alignments)
+from .core import (Pattern, PatternLike, SearchStats, _occurrences,
+                   check_fits, rep_table, scan_alignments)
 from .mp_automaton import build_mp, mp_search
 
 
 class FallbackRequired(Exception):
-    """The pattern is too short for backward-window search; use mp_search."""
+    """The pattern is too short for backward-window search; search_or_fallback
+    then searches it forward."""
 
 
 def choose_b(m: int) -> Optional[int]:
@@ -127,15 +137,79 @@ def sublinear_search(p: PatternLike, t: Sequence[int]):
     return _occurrences(zip(starts, repeat(0))), stats
 
 
-def search_or_fallback(p: PatternLike, t: Sequence[int]):
-    """sublinear_search, or mp_search when the engine declines.
+FILTER_MIN_M = 6  # random text, filter over mp: m=5 1.0-1.4x, m=6 1.3-1.8x (CHANGES.md)
 
-    Returns (occurrences, stats, fell_back).
+
+def _filter_search(pat: Pattern, t: Sequence[int]):
+    """All occurrences of pat in t: up/down-code filter, MP verification.
+
+    A candidate is a start s where the text's up/down code holds the
+    pattern's; ``bytes.find`` finds the next one at C speed.  From s, MP's
+    step (``mp_search``'s test and failure links) reads the text from
+    state 0.  Once its state is 1 after a symbol i0 other than the run's
+    first, every occurrence that starts before i0 is reported, so MP asks
+    ``find`` for the next candidate from i0: at i0 itself it reads on,
+    else it stops and the next run begins at the answer.  Runs are
+    disjoint, so MP reads every symbol at most once.
+
+    symbols_read counts the symbols MP read, at most n; verifications
+    counts the runs, at most n-m+1; transitions_taken counts as in
+    ``mp_search``, reads + 2 * failure steps + matches.
+    """
+    m = len(pat)
+    n = len(t)
+    v = pat.values
+    pcode = bytes(map(lt, v, v[1:]))
+    find = bytes(map(lt, t, islice(t, 1, None))).find
+    back = pat.back
+    fail = build_mp(pat).fail
+    ends = []
+    reads = fails = runs = 0
+    s = find(pcode)
+    while s >= 0:
+        runs += 1
+        x = 0
+        nxt = s  # the run's first symbol needs no find
+        for i0 in range(s, n):  # islice(t, s, None) would walk s items
+            c = t[i0]
+            while True:  # state 0 extends on every symbol
+                d1, d2 = back[x]
+                if (d1 is None or t[i0 - d1] < c) and (d2 is None or c < t[i0 - d2]):
+                    break
+                x = fail[x]
+                fails += 1
+            x += 1
+            if x == m:
+                ends.append(i0)
+                x = fail[m]
+            if x == 1 and nxt < i0:
+                nxt = find(pcode, i0)
+                if nxt != i0:
+                    break
+        else:  # MP read to the end of the text
+            nxt = -1
+        reads += i0 - s + 1
+        s = nxt
+    trans = reads + 2 * fails + len(ends)
+    pairs = zip(map(add, ends, repeat(2 - m)), repeat(0))  # end i0: start i0 - m + 2
+    stats = SearchStats(symbols_read=reads, transitions_taken=trans, verifications=runs)
+    return _occurrences(pairs), stats
+
+
+def search_or_fallback(p: PatternLike, t: Sequence[int]):
+    """sublinear_search, or a forward search when the engine declines.
+
+    A declined pattern (m < 16) with at least ``FILTER_MIN_M`` symbols runs
+    the up/down-code filter with MP verification; a shorter one runs
+    mp_search.  Returns (occurrences, stats, fell_back).
     """
     pat = rep_table(p)
     try:
         occurrences, stats = sublinear_search(pat, t)
         return occurrences, stats, False
     except FallbackRequired:
-        occurrences, stats = mp_search(build_mp(pat), t)
+        if len(pat) >= FILTER_MIN_M:
+            occurrences, stats = _filter_search(pat, t)
+        else:
+            occurrences, stats = mp_search(build_mp(pat), t)
         return occurrences, stats, True

@@ -104,7 +104,12 @@ class TestSearch:
         p = write(tmp_path / "p.txt", "1 2 3\n")
         t = write(tmp_path / "t.txt", " ".join(map(str, range(1, 40))))
         code, out, err = run(capsys, "search", "--algo", "sublinear", p, t)
-        assert code == EX_OK and "falling back" in err
+        assert code == EX_OK and "falling back to mp" in err
+        # from m = 6 the notice names the up/down filter that ran instead
+        p8 = write(tmp_path / "p8.txt", "1 2 3 4 5 6 8 7\n")
+        code, out, err = run(capsys, "search", "--algo", "sublinear", p8, t)
+        assert code == EX_OK and out == ""
+        assert "falling back to the up/down filter" in err
         # the notice cannot be silenced: the removed flag is a usage error
         code, out, _ = run(capsys, "search", "--algo", "sublinear", "--quiet", p, t)
         assert code == EX_USAGE and out == ""

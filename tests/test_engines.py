@@ -22,20 +22,26 @@ from conftest import (chain_shapes, converging_zigzag, counted_mp, plant_copies,
                       two_track_zigzag)
 
 # The counters one search may reach, given the pattern and text lengths.
-# Sublinear's worst case is O(nm) reads, so only its verifications are bounded.
+# Sublinear's backward search (m >= 16) reads O(nm) in the worst case, so
+# only its verifications are bounded; below 16 it searches forward, with
+# mp or with the up/down filter, whose MP runs read each symbol at most once.
 BOUNDS = {
     "naive": lambda st, m, n: st.symbols_read <= m * (n - m + 1),
     "mp": lambda st, m, n: st.symbols_read == n and st.transitions_taken <= 3 * n,
     "forward": lambda st, m, n: st.symbols_read == n and st.transitions_taken <= 2 * n,
-    "sublinear": lambda st, m, n: st.verifications <= n - m + 1,
+    "sublinear": lambda st, m, n: st.verifications <= n - m + 1 and (
+        m >= 16 or (st.symbols_read <= n and st.transitions_taken <= 3 * n)),
     "ac": lambda st, m, n: st.symbols_read == n and st.transitions_taken <= 3 * n,
 }
 
 # (pattern, text, positions) by hand.  Engines note 0-based match ends and
 # shift them to 1-based starts, so the edges are pinned: m == n (one window,
 # matching or not) and a pattern that occurs only at the last start n-m+1,
-# at m = 3 and at m = 16, where sublinear does not fall back.  In the sixth,
-# every window matches.
+# at m = 3, at m = 8, where sublinear filters by up/down code, and at
+# m = 16, where it does not fall back.  In the sixth, every window matches.
+# At m = 8, (1, 7, 2, 8, 3, 6, 4, 5) is a false candidate: the pattern's
+# up/down code 1010101 in another order.  The last row's two overlapping
+# occurrences of a zig-zag are found by one MP run.
 KNOWN = [
     ([1, 2], (1, 2, 3, 4), [1, 2, 3]),
     ([2, 1], (1, 2, 3), []),
@@ -49,6 +55,12 @@ KNOWN = [
     (range(1, 17), (*range(1, 15), 16, 15), []),
     ([3, 2, 1], (1, 2, 3, 4, 7, 6, 5), [5]),
     (range(16, 0, -1), (*range(1, 101), *range(200, 184, -1)), [101]),
+    ((2, 7, 1, 8, 3, 6, 4, 5), (20, 70, 10, 80, 30, 60, 40, 50), [1]),
+    ((2, 7, 1, 8, 3, 6, 4, 5), (1, 7, 2, 8, 3, 6, 4, 5), []),
+    ((2, 7, 1, 8, 3, 6, 4, 5), (*range(100, 90, -1), 2, 7, 1, 8, 3, 6, 4, 5), [11]),
+    ((2, 7, 1, 8, 3, 6, 4, 5), (1, 7, 2, 8, 3, 6, 4, 5, 102, 107, 101, 108,
+                                103, 106, 104, 105), [9]),
+    ((2, 1, 4, 3, 6, 5, 8, 7), (2, 1, 4, 3, 6, 5, 8, 7, 10, 9), [1, 3]),
 ]
 
 ERRORS = [
@@ -107,9 +119,10 @@ def corpus_inputs():
     yield (4, 12, 6, 16, 10, 103, 101, 108, 102, 107, 104, 109, 105, 110, 100, 106), t
     yield range(1, 33), t
     # adversarial texts under patterns on both sides of sublinear's fallback
+    # and of its up/down filter (m >= 6)
     rng = random.Random(64)
     n = 320
-    for m in (5, 12, 16, 40):
+    for m in (5, 6, 8, 12, 15, 16, 40):
         texts = chain_shapes(n) + [two_track_zigzag(n), converging_zigzag(n),
                                    sorted_runs(rng, n, 2 * m),
                                    random_permutation(n, rng.getrandbits(30))]

@@ -140,6 +140,15 @@ class TestSublinearSearch:
         occ, stats, fell_back = search_or_fallback([4, 12, 6, 16, 10], t)
         assert fell_back
         assert positions(occ) == positions(naive_search([4, 12, 6, 16, 10], t))
+        assert stats.symbols_read == len(t)  # below the filter's m = 6, mp reads all
+
+    def test_filter_reads_nothing_without_candidates(self):
+        # a near-miss pattern (seven rises, then a fall) has no candidate in
+        # a monotone text, so MP never starts and no symbol is counted
+        t = tuple(range(1, 1001))
+        occ, stats, fell_back = search_or_fallback([2, 3, 4, 5, 6, 7, 8, 1], t)
+        assert fell_back and occ == []
+        assert stats.symbols_read == 0 and stats.verifications == 0
 
     def test_ranges_tile_the_text(self):
         # consecutive verification ranges are disjoint and cover all starts
