@@ -143,6 +143,42 @@ def counted_mp(a, t):
     return found, count
 
 
+def counted_forward(f, t):
+    """Occurrence positions and transition count of a forward automaton's search.
+
+    Makes the forward test with the pattern's 1-based rep pairs from
+    ``pairs_by_insertion``; when it fails, steps through the moves that
+    ``f.moves(x)`` expands, in order, until one accepts.  Counts one for
+    every interval test, forward or backward; after a match the state
+    moves to fail[m] without a test.  The count that ``forward_search``
+    derives must equal this one.
+    """
+    m = len(f.pattern)
+    rep = pairs_by_insertion(f.pattern.values)
+    x = 0
+    count = 0
+    found = []
+    for i, c in enumerate(t):
+        x1, x2 = rep[x]
+        start = i - x  # 0-based start of the window that state x holds
+        count += 1  # forward test
+        if ((x1 is None or t[start + x1 - 1] < c)
+                and (x2 is None or c < t[start + x2 - 1])):
+            x += 1
+        else:
+            for low, high, target in f.moves(x):
+                count += 1  # backward test
+                if (low is None or t[i - low] < c) and (high is None or c < t[i - high]):
+                    x = target
+                    break
+            else:
+                raise AssertionError(f"no move of state {x} accepted {c}")
+        if x == m:
+            found.append(i - m + 2)
+            x = f.fail[m]
+    return found, count
+
+
 def counted_ac(auto, t):
     """Sorted (position, pattern id) pairs and transition count of an AC search.
 

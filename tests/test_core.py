@@ -310,11 +310,13 @@ def test_public_names_resolve_and_removed_names_are_gone():
                  "is_order_isomorphic", "IntSeq", "oi_border_table", "FactorTree",
                  "failure_targets", "match_depth", "backward_for", "m_total",
                  "normalize_set", "query", "__contains__", "_rep0", "RepPair",
-                 "rep_sequence", "_read"):
+                 "rep_sequence", "_read", "IntervalTransition", "backward"):
         assert name not in opmatch.__all__
         assert not any(name in ns for ns in namespaces), name
     # vars() does not list dataclass fields without defaults
     assert [f.name for f in dataclasses.fields(Pattern)] == ["values", "ranks", "back"]
+    assert [f.name for f in dataclasses.fields(opmatch.ForwardAutomaton)] == [
+        "pattern", "fail", "drop", "build_ops"]
     # no engine uses the predecessor set, so the package does not export it
     for name in ("PredSet", "KeyAbsent", "KeyOutOfUniverse", "KeyPresent"):
         assert name not in opmatch.__all__

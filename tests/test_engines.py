@@ -14,12 +14,13 @@ import pytest
 from opmatch.bench import ENGINES, random_permutation
 from opmatch.core import (DuplicateValue, EmptyInput, InputError, Occurrence,
                           PatternLongerThanText, naive_search, rep_table)
+from opmatch.forward_automaton import build_forward, forward_search
 from opmatch.mp_automaton import build_mp, mp_search
 from opmatch.multi_ac import ac_search, build_ac, make_pattern_set
 
-from conftest import (chain_shapes, converging_zigzag, counted_mp, plant_copies,
-                      positions, random_distinct, rank_patterns, shaped_texts,
-                      two_track_zigzag)
+from conftest import (chain_shapes, converging_zigzag, counted_forward, counted_mp,
+                      plant_copies, positions, random_distinct, rank_patterns,
+                      shaped_texts, two_track_zigzag)
 
 # The counters one search may reach, given the pattern and text lengths.
 # Sublinear's backward search (m >= 16) reads O(nm) in the worst case, so
@@ -192,18 +193,30 @@ def test_bad_input_raises_the_same_error(name, pattern, text, error):
     assert exc.type is error, (name, exc.value)
 
 
-def test_mp_counter_equals_counted_simulation(corpus):
-    # mp_search counts only failure steps and derives the rest; the corpus
-    # and long monotone and zig-zag texts (where most tests fail) must give
-    # the count of a simulation that counts every test and step
+@pytest.mark.parametrize("build, search, counted", [
+    (build_mp, mp_search, counted_mp),
+    (lambda p: build_forward(build_mp(p)), forward_search, counted_forward),
+], ids=["mp", "forward"])
+def test_counter_equals_counted_simulation(corpus, build, search, counted):
+    # mp_search counts only failure steps and derives the rest, and
+    # forward_search walks its moves inline; on the corpus and long
+    # monotone and zig-zag texts (where most tests fail) each must give the
+    # count of a simulation that counts every test and step, forward's
+    # stepping through the moves that moves(x) expands
     cases = [(p, t) for p, t, _ in corpus]
     rng = random.Random(65)
     for m in (1, 2, 5, 16, 64):
         for p in chain_shapes(m) + [two_track_zigzag(m), converging_zigzag(m)]:
             for t in shaped_texts(2000, rng) + [converging_zigzag(2000)]:
                 cases.append((rep_table(p), t))
+    # in these patterns a walk can reach a state that drops a target while
+    # it still holds an earlier state's drop (44 of the 45,360 patterns with
+    # m = 7 or 8 can): only such walks make forward_search's set
+    for p in ((2, 1, 4, 3, 7, 5, 6), (6, 7, 4, 5, 1, 3, 2)):
+        for t in shaped_texts(2000, rng):
+            cases.append((rep_table(p), t))
     for p, t in cases:
-        a = build_mp(p)
-        occ, stats = mp_search(a, t)
-        assert (positions(occ), stats.transitions_taken) == counted_mp(a, t), \
+        a = build(p)
+        occ, stats = search(a, t)
+        assert (positions(occ), stats.transitions_taken) == counted(a, t), \
             (p.values[:8], len(p), len(t))

@@ -2,11 +2,11 @@
 
 Every state's moves, state m included, are checked one order class at a
 time against a definitional brute-force simulation: one step taken on a
-concrete window (forward label first, then the first backward hull in list
-order that accepts; state m first moves to fail[m]) must reach the
-brute-force target.  The size tests assert the documented 4m-5 transition
-bound on random patterns; the two-track zig-zag has about m*m/8
-transitions, so its build is bounded per transition instead.
+concrete window (forward label first, then the first move of ``moves(x)``
+that accepts; state m first moves to fail[m]) must reach the brute-force
+target.  The size tests assert the documented 4m-5 transition bound on
+random patterns; the two-track zig-zag expands to about m*m/8 transitions,
+but what the build stores and the work it does stay linear in m.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ import random
 
 from opmatch.bench import random_permutation
 from opmatch.core import Occurrence, rep_table
-from opmatch.forward_automaton import (IntervalTransition, build_forward,
-                                       forward_search)
+from opmatch.forward_automaton import build_forward, forward_search
 from opmatch.mp_automaton import build_mp
 
-from conftest import chain_shapes, oracle_oi, rank_patterns, two_track_zigzag
+from conftest import (chain_shapes, converging_zigzag, oracle_oi, rank_patterns,
+                      two_track_zigzag)
 
 
 def brute_class_targets(pat, x):
@@ -67,8 +67,8 @@ def step(auto, window, c):
     """State reached from state len(window) on symbol c, as the search moves.
 
     State m first moves to fail[m] on the last fail[m] window symbols; then
-    the forward label is tried, then the backward transitions in list
-    order, and the first that accepts is taken.  A bound d is a distance
+    the forward label is tried, then the moves of ``moves(x)`` in order,
+    and the first that accepts is taken.  A bound d is a distance
     back from c, which follows the window, so it names window[x - d].
     """
     x = len(window)
@@ -78,7 +78,7 @@ def step(auto, window, c):
     d1, d2 = auto.pattern.back[x]
     if (d1 is None or window[x - d1] < c) and (d2 is None or c < window[x - d2]):
         return x + 1
-    for low, high, target in auto.backward[x]:
+    for low, high, target in auto.moves(x):
         if (low is None or window[x - low] < c) and \
            (high is None or c < window[x - high]):
             return target
@@ -89,13 +89,13 @@ def assert_matches_brute(pat, f, exact_targets=False):
     """Every state's step on every order class reaches the brute target.
 
     With exact_targets, every state x < m must also have a move for
-    exactly the brute targets of its non-forward classes, so no list keeps
+    exactly the brute targets of its non-forward classes, so no state keeps
     a move that no class takes.
     """
     m = len(pat)
-    assert f.backward[m] == []
+    assert list(f.moves(m)) == []
     for x in range(1, m + 1):
-        targets = [tr.target for tr in f.backward[x]]
+        targets = [target for _, _, target in f.moves(x)]
         assert len(targets) == len(set(targets)), (pat.values, x)
         classes, forward_class = brute_class_targets(pat, x)
         for alpha, want in classes:
@@ -110,7 +110,7 @@ class TestBuildForward:
         # state 1 = m delegates to fail[1] = 0, whose forward label accepts
         # every symbol: the forward move is the only transition
         f = build_forward(build_mp([7]))
-        assert f.backward[1] == []
+        assert list(f.moves(1)) == []
         assert f.transition_count() == 1
         assert step(f, (7,), 3) == step(f, (7,), 9) == 1
 
@@ -120,8 +120,8 @@ class TestBuildForward:
         # State 1 inherits that move from state 0, whose forward label
         # accepts everything; its forward move takes the class above first
         f = build_forward(build_mp([1, 2]))
-        assert f.backward[2] == []
-        assert f.backward[1] == [IntervalTransition(None, None, 1)]
+        assert list(f.moves(2)) == []
+        assert list(f.moves(1)) == [(None, None, 1)]
         assert [step(f, (1, 2), c) for c in (0.5, 1.5, 2.5)] == [1, 1, 2]
         assert f.transition_count() == 3
 
@@ -131,7 +131,7 @@ class TestBuildForward:
             m = rng.randint(2, 24)
             f = build_forward(build_mp(random_permutation(m, rng.getrandbits(30))))
             for x in range(1, m + 1):
-                jumps = [x - tr.target for tr in f.backward[x]]
+                jumps = [x - target for _, _, target in f.moves(x)]
                 assert jumps == sorted(jumps)
                 assert all(j >= 0 for j in jumps)
 
@@ -155,23 +155,21 @@ class TestBuildForward:
                 assert_matches_brute(pat, build_forward(build_mp(pat)),
                                      exact_targets=True)
 
-    def test_build_ops_linear_on_long_failure_chains(self):
-        for m in (256, 1024, 4096):
-            for vals in chain_shapes(m):
-                f = build_forward(build_mp(vals))
-                assert f.build_ops <= 8 * m, (vals[:10], m, f.build_ops)
-
-    def test_build_ops_at_most_three_per_transition(self):
-        # the two-track zig-zag's automaton itself has about m*m/8
-        # transitions, so its build is bounded by its size, not by 8m
+    def test_build_ops_linear(self):
+        # the two-track zig-zag expands to about m*m/8 transitions (8.4
+        # million at m = 8192, so transition_count() is not called here),
+        # yet the build stores m+1 links and drops and walks O(m) steps
         rng = random.Random(45)
-        inputs = [two_track_zigzag(m) for m in (2, 17, 256, 1024)]
+        inputs = [two_track_zigzag(m) for m in (2, 17, 256, 1024, 8192)]
+        inputs += [converging_zigzag(m) for m in (17, 1024, 8192)]
         inputs += [random_permutation(m, rng.getrandbits(30))
                    for m in (1, 2, 7, 64, 1024)]
-        inputs += chain_shapes(300)
+        inputs += chain_shapes(300) + chain_shapes(4096)
         for vals in inputs:
+            m = len(vals)
             f = build_forward(build_mp(vals))
-            assert f.build_ops <= 3 * f.transition_count(), (vals[:10], f.build_ops)
+            assert len(f.fail) == len(f.drop) == m + 1
+            assert f.build_ops <= 3 * m, (vals[:10], m, f.build_ops)
 
     def test_linear_size_envelope(self):
         rng = random.Random(42)
