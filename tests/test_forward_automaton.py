@@ -171,6 +171,24 @@ class TestBuildForward:
             assert len(f.fail) == len(f.drop) == m + 1
             assert f.build_ops <= 3 * m, (vals[:10], m, f.build_ops)
 
+    def test_build_ops_linear_on_long_failure_chains(self):
+        for m in (256, 1024, 4096):
+            for vals in chain_shapes(m):
+                f = build_forward(build_mp(vals))
+                assert f.build_ops <= 8 * m, (vals[:10], m, f.build_ops)
+
+    def test_build_ops_at_most_three_per_transition(self):
+        # the two-track zig-zag's automaton itself has about m*m/8
+        # transitions; the build stays within three steps per transition
+        rng = random.Random(45)
+        inputs = [two_track_zigzag(m) for m in (2, 17, 256, 1024)]
+        inputs += [random_permutation(m, rng.getrandbits(30))
+                   for m in (1, 2, 7, 64, 1024)]
+        inputs += chain_shapes(300)
+        for vals in inputs:
+            f = build_forward(build_mp(vals))
+            assert f.build_ops <= 3 * f.transition_count(), (vals[:10], f.build_ops)
+
     def test_linear_size_envelope(self):
         rng = random.Random(42)
         for m in (2, 5, 10, 50, 200, 1000):
