@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Optional, TextIO
 
 from .core import SearchStats, check_fits, naive_search, rep_table
@@ -21,8 +21,6 @@ from .multi_ac import ac_search, build_ac, make_pattern_set
 from .sublinear import search_or_fallback
 
 PRNG_NOTE = "mt19937(random.Random.getrandbits)+fisher-yates+rejection"
-
-CSV_HEADER = "algo,m,n,seed,occurrences,symbols_read,transitions,verifications,elapsed_ns"
 
 
 def _randbelow(rng: random.Random, k: int) -> int:
@@ -81,19 +79,15 @@ class BenchRecord:
     elapsed_ns: int
 
     def csv_row(self) -> str:
-        return (f"{self.algo},{self.m},{self.n},{self.seed},{self.occurrences},"
-                f"{self.symbols_read},{self.transitions},{self.verifications},"
-                f"{self.elapsed_ns}")
+        return ",".join(map(str, astuple(self)))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(BenchRecord))
 
 
 def _naive(pattern, text):
     stats = SearchStats()
     return naive_search(pattern, text, stats), stats
-
-
-def _sublinear(pattern, text):
-    occ, stats, _ = search_or_fallback(pattern, text)
-    return occ, stats
 
 
 def _ac(pattern, text):
@@ -112,7 +106,7 @@ ENGINES = {
     "mp": lambda pattern, text: mp_search(build_mp(pattern), text),
     "forward": lambda pattern, text: forward_search(
         build_forward(build_mp(pattern)), text),
-    "sublinear": _sublinear,
+    "sublinear": lambda pattern, text: search_or_fallback(pattern, text)[:2],
     "ac": _ac,
 }
 

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 from . import bench as bench_mod
 from .core import InputError, SearchStats, rep_table, validate_seq
 from .multi_ac import ac_search, build_ac, make_pattern_set
-from .sublinear import FILTER_MIN_M, choose_b
+from .sublinear import fallback_for
 
 EX_OK = 0
 EX_IOERR = 2
@@ -114,9 +114,7 @@ def cmd_search(args) -> int:
     pattern = rep_table(_read_tokens(args.pattern))  # rep_table validates
     text = validate_seq(_read_tokens(args.text))
     occ, stats = bench_mod.ENGINES[args.algo](pattern, text)
-    if args.algo == "sublinear" and choose_b(len(pattern)) is None:
-        ran = ("the up/down filter with mp verification"
-               if len(pattern) >= FILTER_MIN_M else "mp")
+    if args.algo == "sublinear" and (ran := fallback_for(len(pattern))):
         print("sublinear: pattern too short for backward-window search; "
               f"falling back to {ran}", file=sys.stderr)
     _write_lines(f"{o.position}\n" for o in occ)

@@ -4,10 +4,10 @@ Two equal-length sequences of distinct integers are order-isomorphic when
 every pair of positions compares the same way in both.  A pattern occurs in
 a text at position i when it is order-isomorphic to the length-m text window
 starting there.  This module holds the shared vocabulary (validated
-sequences, rank normalization, and rep pairs: the distances back from each
-symbol to the largest smaller and the smallest larger symbol before it)
-and one oracle, ``naive_search``, the slow-but-obviously-correct scan that
-every search engine in the package is tested against.
+sequences, the paper's rank normal form, which no engine needs, and rep
+pairs: the distances back from each symbol to the largest smaller and the
+smallest larger symbol before it) and one oracle, ``naive_search``, the
+slow-but-obviously-correct scan that every search engine is tested against.
 
 Every engine notes plain integer positions while it scans and hands them,
 paired with their pattern ids, to ``_occurrences`` once the scan ends; it
@@ -113,23 +113,22 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class Pattern:
-    """A validated pattern with its rank normalization and rep pairs.
+    """A validated pattern: its values and their rep pairs.
 
-    ``ranks`` is the permutation of 1..m obtained by replacing every value
-    with its rank.  ``back[j]`` is the rep pair of symbol j (0-based):
-    ``(d1, d2)``, where symbol j-d1 is the largest of the symbols before j
-    that is smaller than symbol j, and symbol j-d2 the smallest that is
-    larger.  ``None`` means no such symbol exists on that side, so
-    ``back[0]`` is always ``(None, None)``.  This one pair is enough to
-    test in constant time whether extending an order-isomorphic window by
-    one symbol keeps it order-isomorphic, and every engine reads the text
-    through it: symbol t[i] is tested against t[i-d1] and t[i-d2], whatever
-    the window's start.  Immutable and safe to share between concurrent
-    searches.
+    Engines only compare ``values`` with each other, never with a constant,
+    so any distinct integers serve.  ``back[j]`` is the rep pair of symbol
+    j (0-based): ``(d1, d2)``, where symbol j-d1 is the largest of the
+    symbols before j that is smaller than symbol j, and symbol j-d2 the
+    smallest that is larger.  ``None`` means no such symbol exists on that
+    side, so ``back[0]`` is always ``(None, None)``.  This one pair is
+    enough to test in constant time whether extending an order-isomorphic
+    window by one symbol keeps it order-isomorphic, and every engine reads
+    the text through it: symbol t[i] is tested against t[i-d1] and
+    t[i-d2], whatever the window's start.  Immutable and safe to share
+    between concurrent searches.
     """
 
     values: tuple
-    ranks: tuple
     back: tuple
 
     def __len__(self) -> int:
@@ -163,7 +162,8 @@ def validate_seq(raw: Iterable[int], require_nonempty: bool = False) -> tuple:
 def rank_normalize(s: Sequence[int]) -> tuple:
     """Replace each value by its rank (1 = smallest) within the sequence.
 
-    A repeated value would silently corrupt every engine: it raises
+    This is the paper's normal form of a sequence; no engine needs it, as
+    they compare values only.  A repeated value has no rank: it raises
     DuplicateValue at the first two positions of the smallest such value.
     """
     order = sorted(s)
@@ -203,14 +203,14 @@ def back_pairs(values: Sequence[int]) -> list:
 
 
 def rep_table(p: PatternLike) -> Pattern:
-    """Validate a sequence and build its Pattern (ranks plus rep pairs).
+    """Validate a sequence and build its Pattern with one sort (``back_pairs``).
 
     A Pattern is returned unchanged.
     """
     if isinstance(p, Pattern):
         return p
     values = validate_seq(p, require_nonempty=True)
-    return Pattern(values, rank_normalize(values), tuple(back_pairs(values)))
+    return Pattern(values, tuple(back_pairs(values)))
 
 
 def check_fits(m: int, n: int) -> None:

@@ -14,7 +14,8 @@ is already set; a prefix node shared by several patterns is read once.
 
 The children of a node have distinct pairs over one prefix, so each
 stands for its own gap between adjacent prefix values, and the build also
-lists them sorted by gap.  One step, ``_scan``, reads symbols in place:
+lists them sorted by gap, as the values of the first pattern through the
+node order them.  One step, ``_scan``, reads symbols in place:
 it tests a node's only child directly (``AcNode.one``), binary-searches
 the list of a node with several, and follows failure links on a miss.  A
 node without children has nothing to look up, so the step leaves it by
@@ -119,8 +120,7 @@ def build_ac(ps: PatternSet) -> AcAutomaton:
             path.append(node)
         node.outputs.append(pid)
         readers.append([path, p.values, root])
-    for p, (path, _, _) in zip(ps.patterns, readers):
-        ranks = p.ranks  # a node's patterns order its prefix alike
+    for path, values, _ in readers:  # a node's patterns order its prefix alike
         for node in path:
             if node.children and not node.kids:
                 kids = [(d1, d2, child) for (d1, d2), child in node.children.items()]
@@ -128,7 +128,9 @@ def build_ac(ps: PatternSet) -> AcAutomaton:
                     node.one = kids[0]
                 else:
                     depth = node.depth
-                    kids.sort(key=lambda kid: 0 if kid[0] is None else ranks[depth - kid[0]])
+                    # no smaller symbol sorts first: compare values with values only
+                    kids.sort(key=lambda kid: (False,) if kid[0] is None
+                              else (True, values[depth - kid[0]]))
                 node.kids = tuple(kids)
 
     build_ops = 0

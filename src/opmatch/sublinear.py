@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import islice, repeat
 from math import ceil, log2
-from operator import add, lt, mul
+from operator import add, lt, mul, truth
 from typing import Optional, Sequence
 
 from .core import (Pattern, PatternLike, SearchStats, _occurrences,
@@ -39,8 +39,7 @@ from .mp_automaton import build_mp, mp_search
 
 
 class FallbackRequired(Exception):
-    """The pattern is too short for backward-window search; search_or_fallback
-    then searches it forward."""
+    """The pattern is too short for backward-window search (m < 16)."""
 
 
 def choose_b(m: int) -> Optional[int]:
@@ -66,7 +65,7 @@ def build_factor_tree(p: PatternLike, b: int) -> tuple:
     of some factor of the reversed pattern.  Level d holds at most
     min((d+1)!, m-b+1) codes.
 
-    Each depth is one pass of C-level maps over the reversed ranks.  The
+    Each depth is one pass of C-level maps over the reversed values.  The
     list ``smaller`` holds, for every start s, the insertion rank of symbol
     s+d among symbols s..s+d-1.  It is the previous depth's list shifted by
     one start, plus whether symbol s is below symbol s+d; it loses one entry
@@ -78,7 +77,7 @@ def build_factor_tree(p: PatternLike, b: int) -> tuple:
     m = len(pat)
     if not 1 <= b <= m:
         raise ValueError(f"factor length {b} is outside 1..{m}, the pattern length")
-    rev = pat.ranks[::-1]
+    rev = pat.values[::-1]
     starts = m - b + 1
     smaller = [0] * m
     code = [0] * starts
@@ -159,8 +158,11 @@ def _filter_search(pat: Pattern, t: Sequence[int]):
     m = len(pat)
     n = len(t)
     v = pat.values
-    pcode = bytes(map(lt, v, v[1:]))
-    find = bytes(map(lt, t, islice(t, 1, None))).find
+    pcode = bytes(map(truth, map(lt, v, v[1:])))  # numpy's bools have no __index__
+    try:
+        find = bytes(map(lt, t, islice(t, 1, None))).find
+    except TypeError:  # numpy's bools again; truth would slow int texts by ~40%
+        find = bytes(map(truth, map(lt, t, islice(t, 1, None)))).find
     back = pat.back
     fail = build_mp(pat).fail
     ends = []
@@ -196,20 +198,22 @@ def _filter_search(pat: Pattern, t: Sequence[int]):
     return _occurrences(pairs), stats
 
 
-def search_or_fallback(p: PatternLike, t: Sequence[int]):
-    """sublinear_search, or a forward search when the engine declines.
+def fallback_for(m: int) -> Optional[str]:
+    """What search_or_fallback runs when sublinear_search declines m, or None."""
+    if choose_b(m) is not None:
+        return None
+    return "the up/down filter with mp verification" if m >= FILTER_MIN_M else "mp"
 
-    A declined pattern (m < 16) with at least ``FILTER_MIN_M`` symbols runs
-    the up/down-code filter with MP verification; a shorter one runs
-    mp_search.  Returns (occurrences, stats, fell_back).
-    """
+
+def search_or_fallback(p: PatternLike, t: Sequence[int]):
+    """(occurrences, stats, fell_back) from sublinear_search or fallback_for's pick."""
     pat = rep_table(p)
-    try:
+    check_fits(len(pat), len(t))
+    ran = fallback_for(len(pat))
+    if ran is None:
         occurrences, stats = sublinear_search(pat, t)
-        return occurrences, stats, False
-    except FallbackRequired:
-        if len(pat) >= FILTER_MIN_M:
-            occurrences, stats = _filter_search(pat, t)
-        else:
-            occurrences, stats = mp_search(build_mp(pat), t)
-        return occurrences, stats, True
+    elif ran == "mp":
+        occurrences, stats = mp_search(build_mp(pat), t)
+    else:
+        occurrences, stats = _filter_search(pat, t)
+    return occurrences, stats, ran is not None

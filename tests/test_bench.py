@@ -113,7 +113,8 @@ class TestCsv:
         cfg = BenchConfig(algo="mp", m=4, n=64, trials=2, seed=1)
         lines = csv_lines(run_bench(cfg))
         assert lines[0].startswith("# prng=")
-        assert lines[1] == CSV_HEADER
+        assert lines[1] == CSV_HEADER == (
+            "algo,m,n,seed,occurrences,symbols_read,transitions,verifications,elapsed_ns")
         assert len(lines) == 4
 
     def test_determinism_modulo_elapsed(self):

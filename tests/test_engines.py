@@ -186,6 +186,22 @@ def test_occurrences_are_made_without_per_match_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("name", list(ENGINES))
+def test_numpy_pattern_and_text(name):
+    # numpy's comparisons give numpy bools, which bytes() does not take as
+    # ints; m = 5, 8 run mp and the up/down filter, m = 16, 40 the factor
+    # index built from the pattern's values
+    np = pytest.importorskip("numpy")
+    rng = random.Random(66)
+    for m in (5, 8, 16, 40):
+        p = random_permutation(m, rng.getrandbits(30))
+        t = plant_copies(rng, p, random_permutation(2000, rng.getrandbits(30)))
+        p_np, t_np = np.array(p) * 3 - 7, np.array(t) * 3 - 7
+        want = naive_search(tuple(map(int, p_np)), tuple(map(int, t_np)))
+        assert want, m
+        assert ENGINES[name](p_np, t_np)[0] == want, (name, m)
+
+
+@pytest.mark.parametrize("name", list(ENGINES))
 @pytest.mark.parametrize("pattern, text, error", ERRORS)
 def test_bad_input_raises_the_same_error(name, pattern, text, error):
     with pytest.raises(InputError) as exc:
