@@ -136,8 +136,7 @@ def cmd_multisearch(args) -> int:
 def cmd_bench(args) -> int:
     pattern = None
     if args.pattern_file:
-        pattern = tuple(validate_seq(_read_tokens(args.pattern_file),
-                                     require_nonempty=True))
+        pattern = rep_table(_read_tokens(args.pattern_file)).values
     try:
         cfg = bench_mod.BenchConfig(algo=args.algo, n=args.n, trials=args.trials,
                                     seed=args.seed, m=args.m, pattern=pattern)

@@ -9,11 +9,13 @@ pairs: the distances back from each symbol to the largest smaller and the
 smallest larger symbol before it) and one oracle, ``naive_search``, the
 slow-but-obviously-correct scan that every search engine is tested against.
 
-Every engine notes plain integer positions while it scans and hands them,
-paired with their pattern ids, to ``_occurrences`` once the scan ends; it
-makes the ``Occurrence`` list at C speed with the cyclic garbage collector
-paused, so no Python code runs per match and no collection scans the new
-objects.
+It also owns both edges of every engine.  A pattern enters only through
+``rep_table``, which makes every value a Python int.  Every engine notes
+the 0-based end index of each match while it scans and hands these ends,
+in runs ``(ends, m, pattern_id)``, to ``_occurrences`` once the scan ends;
+it alone turns an end into a 1-based start, and it makes the
+``Occurrence`` list at C speed with the cyclic garbage collector paused,
+so no Python code runs per match and no collection scans the new objects.
 
 All positions in public contracts are 1-based.  Sentinel "no predecessor" /
 "no successor" is represented as ``None``, never as a magic integer.
@@ -24,7 +26,8 @@ from __future__ import annotations
 import gc
 import threading
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
+from operator import add, index
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 
@@ -64,9 +67,13 @@ _gc_depth = 0  # calls of _occurrences now making their lists
 _gc_was_enabled = False  # the collector's state when the first one began
 
 
-def _occurrences(pairs: Iterable[tuple]) -> list:
-    """One ``Occurrence(s, pattern_id)`` per (1-based start, id) pair, at C speed.
+def _occurrences(runs: Iterable[tuple]) -> list:
+    """One ``Occurrence`` per match end of the runs, at C speed.
 
+    A run ``(ends, m, pattern_id)`` holds the 0-based end indexes of the
+    matches of one length-m pattern; the match ending at i0 starts at the
+    1-based position i0 - m + 2.  The occurrences come run by run, each
+    run's in the order of its ends.
     ``tuple.__new__`` fills each instance directly, skipping the Python
     ``Occurrence.__new__``.  ``Occurrence`` is a tuple subclass, which the
     cyclic garbage collector never untracks, so making 1e5 of them would
@@ -75,7 +82,7 @@ def _occurrences(pairs: Iterable[tuple]) -> list:
     ints, so they cannot form cycles and no collection is missed.  Calls
     in concurrent threads share one pause: the first to begin saves the
     collector's state and turns it off, and the last to end restores it,
-    also when ``pairs`` raises.
+    also when ``runs`` raises.
     """
     global _gc_depth, _gc_was_enabled
     with _gc_lock:
@@ -84,7 +91,8 @@ def _occurrences(pairs: Iterable[tuple]) -> list:
             gc.disable()
         _gc_depth += 1
     try:
-        return list(map(tuple.__new__, repeat(Occurrence), pairs))
+        return list(map(tuple.__new__, repeat(Occurrence), chain.from_iterable(
+            zip(map(add, ends, repeat(2 - m)), repeat(pid)) for ends, m, pid in runs)))
     finally:
         with _gc_lock:
             _gc_depth -= 1
@@ -96,13 +104,15 @@ def _occurrences(pairs: Iterable[tuple]) -> list:
 class SearchStats:
     """Instrumentation counters accumulated during one search.
 
-    symbols_read counts text-symbol inspections, transitions_taken counts
-    automaton transition tests and failure steps, verifications counts
-    naive per-start verification checks (backward-window engine only).
-    The sublinear dispatcher's up/down filter (6 <= m < 16) counts the
-    symbols its MP runs read, at most n, and one verification per MP run
-    started at a candidate; the C-level up/down encoding of the text reads
-    every symbol once more and is not counted.
+    symbols_read counts text-symbol inspections and transitions_taken
+    automaton transition tests and failure steps.  verifications counts
+    the checks an engine makes beyond its automaton: the backward-window
+    search (m >= 16) counts one per start it verifies naively, and the
+    sublinear dispatcher's up/down filter (6 <= m < 16) one per MP run
+    started at a candidate; naive, mp, forward and ac leave it 0.  The
+    filter counts the symbols its MP runs read, at most n; the C-level
+    up/down encoding of the text reads every symbol once more and is not
+    counted.
     All counters only ever increase while a search runs.
     """
 
@@ -138,18 +148,15 @@ class Pattern:
 PatternLike = Union[Pattern, Sequence[int]]
 
 
-def validate_seq(raw: Iterable[int], require_nonempty: bool = False) -> tuple:
+def validate_seq(raw: Iterable[int]) -> tuple:
     """Check pairwise distinctness and return the sequence as a tuple.
 
-    Raises DuplicateValue with the two offending 1-based indices, or
-    EmptyInput when ``require_nonempty`` is set and the sequence is empty.
+    Raises DuplicateValue with the two offending 1-based indices.
     Comparing the size of the value set with the length settles a valid
     sequence at C speed; only a sequence that fails that test is scanned
     for the first repeated value and the position it repeats.
     """
     values = tuple(raw)
-    if require_nonempty and not values:
-        raise EmptyInput("pattern must contain at least one integer")
     if len(set(values)) < len(values):
         seen: dict = {}
         for i, v in enumerate(values):
@@ -205,11 +212,16 @@ def back_pairs(values: Sequence[int]) -> list:
 def rep_table(p: PatternLike) -> Pattern:
     """Validate a sequence and build its Pattern with one sort (``back_pairs``).
 
-    A Pattern is returned unchanged.
+    The only code that makes a Pattern.  Each value passes through
+    ``operator.index``, so a numpy integer becomes an int and a float or a
+    string raises TypeError; an empty sequence raises EmptyInput.  A
+    Pattern is returned unchanged.
     """
     if isinstance(p, Pattern):
         return p
-    values = validate_seq(p, require_nonempty=True)
+    values = validate_seq(map(index, p))
+    if not values:
+        raise EmptyInput("pattern must contain at least one integer")
     return Pattern(values, tuple(back_pairs(values)))
 
 
@@ -224,29 +236,24 @@ def scan_alignments(p: Pattern, t: Sequence[int], first: int, last: int):
 
     Each alignment is verified incrementally with the pattern's ``back``
     pairs, bailing out at the first symbol that breaks order-isomorphism.
-    Returns (positions, symbols_inspected) where symbols_inspected counts
-    how many window symbols were examined in total.
+    Returns (ends, symbols_inspected): the 0-based end index of every
+    match, and how many window symbols were examined in total.
     """
     back = p.back
     m = len(back)
-    positions = []
+    ends = []
     reads = 0
     for s0 in range(first - 1, last):
-        ok = True
         for j in range(m):
             i = s0 + j
             c = t[i]
             reads += 1
             d1, d2 = back[j]
-            if d1 is not None and not t[i - d1] < c:
-                ok = False
+            if not ((d1 is None or t[i - d1] < c) and (d2 is None or c < t[i - d2])):
                 break
-            if d2 is not None and not c < t[i - d2]:
-                ok = False
-                break
-        if ok:
-            positions.append(s0 + 1)
-    return positions, reads
+        else:
+            ends.append(i)
+    return ends, reads
 
 
 def naive_search(p: PatternLike, t: Sequence[int],
@@ -261,7 +268,7 @@ def naive_search(p: PatternLike, t: Sequence[int],
     m = len(pat)
     n = len(t)
     check_fits(m, n)
-    positions, reads = scan_alignments(pat, t, 1, n - m + 1)
+    ends, reads = scan_alignments(pat, t, 1, n - m + 1)
     if stats is not None:
         stats.symbols_read += reads
-    return _occurrences(zip(positions, repeat(0)))
+    return _occurrences([(ends, m, 0)])

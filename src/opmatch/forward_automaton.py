@@ -41,8 +41,6 @@ tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import add
 from typing import Iterator, Sequence
 
 from .core import Pattern, SearchStats, _occurrences, check_fits
@@ -66,7 +64,7 @@ class ForwardAutomaton:
     pattern: Pattern
     fail: tuple
     drop: tuple
-    build_ops: int = field(default=0, repr=False)
+    build_ops: int = field(repr=False)
 
     def moves(self, x: int) -> Iterator[tuple]:
         """State x's backward moves ``(low, high, target)`` in test order.
@@ -200,5 +198,4 @@ def forward_search(f: ForwardAutomaton, t: Sequence[int]):
                     break
         else:  # pragma: no cover - hulls cover every non-forward class
             raise AssertionError("no transition accepted a distinct symbol")
-    pairs = zip(map(add, ends, repeat(2 - m)), repeat(0))  # end i0: start i0 - m + 2
-    return _occurrences(pairs), SearchStats(symbols_read=n, transitions_taken=trans)
+    return _occurrences([(ends, m, 0)]), SearchStats(symbols_read=n, transitions_taken=trans)

@@ -12,8 +12,6 @@ same search run over the pattern itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import add
 from typing import Sequence
 
 from .core import (Pattern, PatternLike, SearchStats, _occurrences, check_fits,
@@ -33,7 +31,7 @@ class MpAutomaton:
 
     pattern: Pattern
     fail: tuple
-    build_ops: int = field(default=0, repr=False)
+    build_ops: int = field(repr=False)
 
 
 def build_mp(p: PatternLike) -> MpAutomaton:
@@ -79,8 +77,8 @@ def mp_search(a: MpAutomaton, t: Sequence[int]):
     one follows a failed test, every symbol ends with one passing test
     (state 0 always extends) and every match takes one step to the border,
     so transitions_taken = n + 2 * failure steps + matches.
-    The loop notes each match's 0-based end index i0; the occurrences,
-    starting at i0 - m + 2, are made in one pass after the scan.
+    The loop notes each match's 0-based end index, and ``_occurrences``
+    makes the occurrences from them after the scan.
     """
     m = len(a.pattern)
     n = len(t)
@@ -102,5 +100,4 @@ def mp_search(a: MpAutomaton, t: Sequence[int]):
             ends.append(i0)
             x = fail[m]
     trans = n + 2 * fails + len(ends)
-    pairs = zip(map(add, ends, repeat(2 - m)), repeat(0))  # end i0: start i0 - m + 2
-    return _occurrences(pairs), SearchStats(symbols_read=n, transitions_taken=trans)
+    return _occurrences([(ends, m, 0)]), SearchStats(symbols_read=n, transitions_taken=trans)

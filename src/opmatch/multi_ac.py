@@ -29,8 +29,6 @@ reached, and expands them into occurrences afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import add
 from typing import Iterable, Sequence
 
 from .core import (EmptyInput, PatternLike, SearchStats, _occurrences,
@@ -217,9 +215,9 @@ def ac_search(a: AcAutomaton, t: Sequence[int]):
     value gives undefined results.  Output ids cover every order-isomorphic
     duplicate of a matched pattern.  One ``_scan`` reads the whole text and
     notes, per node with outputs, the end indexes at which it was reached;
-    each (node, pattern id) pair expands into (start, pattern id) pairs,
-    all of which become occurrences in one C-level pass, and one sort
-    merges these sorted runs.
+    each (node, pattern id) pair hands these ends to ``_occurrences`` as
+    one run, all runs become occurrences in one C-level pass, and one sort
+    merges them.
     transitions_taken counts child lookups, failure steps and the hops off
     nodes without children, as ``mp_search`` does on one pattern: it is
     n + 2 * failure steps + hops, with the hop off the node reached by the
@@ -230,9 +228,8 @@ def ac_search(a: AcAutomaton, t: Sequence[int]):
     node, fails, hops = _scan(a.root, t, 0, len(t), hits)
     if node.after is not node:
         hops += 1
-    out = _occurrences(chain.from_iterable(  # end i0: start i0 - m + 2
-        zip(map(add, ends, repeat(2 - lengths[pid])), repeat(pid))
-        for ends, pids in zip(hits, a.hit_outputs) if ends for pid in pids))
+    out = _occurrences((ends, lengths[pid], pid)
+                       for ends, pids in zip(hits, a.hit_outputs) if ends for pid in pids)
     out.sort()
     trans = len(t) + 2 * fails + hops
     return out, SearchStats(symbols_read=len(t), transitions_taken=trans)

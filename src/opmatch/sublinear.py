@@ -108,7 +108,7 @@ def sublinear_search(p: PatternLike, t: Sequence[int]):
     # r symbols back from the window end folds its rank with radix r.
     steps = list(zip(range(2, b + 1), levels[1:]))
     last_start = n - m + 1
-    starts = []
+    ends = []
     reads = 0
     verifications = 0
     e = m
@@ -127,13 +127,13 @@ def sublinear_search(p: PatternLike, t: Sequence[int]):
             reads += b
             lo = e - m + 1
             hi = min(e - b + 1, last_start)
-            positions, vreads = scan_alignments(pat, t, lo, hi)
-            starts += positions
+            found, vreads = scan_alignments(pat, t, lo, hi)
+            ends += found
             reads += vreads
             verifications += hi - lo + 1
         e += shift
     stats = SearchStats(symbols_read=reads, verifications=verifications)
-    return _occurrences(zip(starts, repeat(0))), stats
+    return _occurrences([(ends, m, 0)]), stats
 
 
 FILTER_MIN_M = 6  # random text, filter over mp: m=5 1.0-1.4x, m=6 1.3-1.8x (CHANGES.md)
@@ -158,10 +158,10 @@ def _filter_search(pat: Pattern, t: Sequence[int]):
     m = len(pat)
     n = len(t)
     v = pat.values
-    pcode = bytes(map(truth, map(lt, v, v[1:])))  # numpy's bools have no __index__
+    pcode = bytes(map(lt, v, v[1:]))
     try:
         find = bytes(map(lt, t, islice(t, 1, None))).find
-    except TypeError:  # numpy's bools again; truth would slow int texts by ~40%
+    except TypeError:  # numpy's bools are no ints; truth would slow int texts by ~40%
         find = bytes(map(truth, map(lt, t, islice(t, 1, None)))).find
     back = pat.back
     fail = build_mp(pat).fail
@@ -193,9 +193,8 @@ def _filter_search(pat: Pattern, t: Sequence[int]):
         reads += i0 - s + 1
         s = nxt
     trans = reads + 2 * fails + len(ends)
-    pairs = zip(map(add, ends, repeat(2 - m)), repeat(0))  # end i0: start i0 - m + 2
     stats = SearchStats(symbols_read=reads, transitions_taken=trans, verifications=runs)
-    return _occurrences(pairs), stats
+    return _occurrences([(ends, m, 0)]), stats
 
 
 def fallback_for(m: int) -> Optional[str]:

@@ -10,7 +10,6 @@ import importlib
 import pkgutil
 import random
 import threading
-from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -54,8 +53,10 @@ class TestValidateSeq:
         assert (exc.value.index_a, exc.value.index_b) == indices
 
     def test_empty_pattern_rejected(self):
+        # validate_seq takes an empty text; only rep_table, which makes
+        # every pattern, rejects an empty one
         with pytest.raises(EmptyInput):
-            validate_seq([], require_nonempty=True)
+            rep_table(iter(()))
 
     def test_empty_text_allowed(self):
         assert validate_seq([]) == ()
@@ -200,30 +201,32 @@ class TestNaiveSearch:
 
 class TestOccurrences:
     def test_exact_instances(self):
-        occ = _occurrences([(3, 2), (1, 2), (7, 2)])
-        assert occ == [(3, 2), (1, 2), (7, 2)]
+        # a run (ends, m, pattern_id): the match ending at 0-based index i0
+        # starts at the 1-based position i0 - m + 2
+        occ = _occurrences([([4, 2, 8], 3, 2), ([], 5, 1), ((0,), 1, 0)])
+        assert occ == [(3, 2), (1, 2), (7, 2), (1, 0)]
         assert all(type(o) is Occurrence for o in occ)
-        assert _occurrences(zip(iter([5]), repeat(0))) == [Occurrence(5, 0)]
+        assert _occurrences(iter([(iter([5]), 2, 0)])) == [Occurrence(5, 0)]
         assert _occurrences([]) == []
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_state_restored(self, enabled):
-        def pairs():
+        def runs():
             paused.append(not gc.isenabled())
-            yield 4, 0
+            yield [3], 1, 0
 
         def failing():
-            yield 1, 0
-            raise RuntimeError("pairs failed")
+            yield [0], 1, 0
+            raise RuntimeError("runs failed")
 
         was = gc.isenabled()
         try:
             gc.enable() if enabled else gc.disable()
             paused = []
-            assert _occurrences(pairs()) == [(4, 0)]
+            assert _occurrences(runs()) == [(4, 0)]
             assert paused == [True]  # the collector is off while it builds
             assert gc.isenabled() is enabled
-            with pytest.raises(RuntimeError, match="pairs failed"):
+            with pytest.raises(RuntimeError, match="runs failed"):
                 _occurrences(failing())
             assert gc.isenabled() is enabled
         finally:
@@ -232,14 +235,14 @@ class TestOccurrences:
     def test_overlapping_pauses_end_with_the_last(self):
         # Y begins, X begins while Y builds, Y ends while X builds: the
         # collector must stay off until X ends and then be on again
-        def pairs(entered, go_on):
+        def runs(entered, go_on):
             entered.set()
             assert go_on.wait(timeout=30)
-            yield 1, 0
+            yield [0], 1, 0
 
         y_in, x_in, x_go = (threading.Event() for _ in range(3))
-        y = threading.Thread(target=_occurrences, args=(pairs(y_in, x_in),))
-        x = threading.Thread(target=_occurrences, args=(pairs(x_in, x_go),))
+        y = threading.Thread(target=_occurrences, args=(runs(y_in, x_in),))
+        x = threading.Thread(target=_occurrences, args=(runs(x_in, x_go),))
         was = gc.isenabled()
         try:
             gc.enable()

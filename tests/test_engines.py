@@ -17,6 +17,7 @@ from opmatch.core import (DuplicateValue, EmptyInput, InputError, Occurrence,
 from opmatch.forward_automaton import build_forward, forward_search
 from opmatch.mp_automaton import build_mp, mp_search
 from opmatch.multi_ac import ac_search, build_ac, make_pattern_set
+from opmatch.sublinear import build_factor_tree
 
 from conftest import (chain_shapes, converging_zigzag, counted_forward, counted_mp,
                       plant_copies, positions, random_distinct, rank_patterns,
@@ -36,7 +37,7 @@ BOUNDS = {
 }
 
 # (pattern, text, positions) by hand.  Engines note 0-based match ends and
-# shift them to 1-based starts, so the edges are pinned: m == n (one window,
+# core shifts them to 1-based starts, so the edges are pinned: m == n (one window,
 # matching or not) and a pattern that occurs only at the last start n-m+1,
 # at m = 3, at m = 8, where sublinear filters by up/down code, and at
 # m = 16, where it does not fall back.  In the sixth, every window matches.
@@ -207,6 +208,17 @@ def test_bad_input_raises_the_same_error(name, pattern, text, error):
     with pytest.raises(InputError) as exc:
         ENGINES[name](pattern, text)
     assert exc.type is error, (name, exc.value)
+
+
+@pytest.mark.parametrize("entry", [*ENGINES, "make_pattern_set", "build_factor_tree"])
+@pytest.mark.parametrize("pattern", [[1, 2.5], ["1", "2"]], ids=["float", "str"])
+def test_non_integer_pattern_raises_type_error(entry, pattern):
+    # rep_table passes every pattern value through operator.index, so no
+    # entry point compares a float or a string with the text
+    calls = {"make_pattern_set": lambda: make_pattern_set([pattern]),
+             "build_factor_tree": lambda: build_factor_tree(pattern, 1)}
+    with pytest.raises(TypeError):
+        calls.get(entry, lambda: ENGINES[entry](pattern, (1, 2, 3)))()
 
 
 @pytest.mark.parametrize("build, search, counted", [

@@ -114,6 +114,19 @@ class TestFactorTree:
             b = choose_b(m)
             assert build_factor_tree(vals, b) == build_factor_tree(rank_normalize(vals), b)
 
+    def test_numpy_pattern_folds_int_codes(self):
+        # rep_table makes every value an int, so a numpy pattern indexes as
+        # its tuple does, with int codes: numpy.int64 codes fold slower and
+        # wrap from b = 21 on, where a descending pattern reaches 21! - 1
+        np = pytest.importorskip("numpy")
+        for vals, b in ((random_permutation(1024, 68), choose_b(1024)),
+                        (tuple(range(24, 0, -1)), 24)):
+            p_np = np.array(vals) * 3 - 7
+            assert all(type(v) is int for v in rep_table(p_np).values)
+            levels = build_factor_tree(p_np, b)
+            assert levels == build_factor_tree(tuple(map(int, p_np)), b)
+            assert all(type(code) is int for level in levels for code in level)
+
     def test_accepts_exactly_reversed_factors(self):
         rng = random.Random(60)
         for _ in range(40):
