@@ -14,18 +14,16 @@ from .core import (DuplicateValue, EmptyInput, InputError, Occurrence,
                    naive_search, rank_normalize, rep_table, validate_seq)
 from .mp_automaton import MpAutomaton, build_mp, mp_search
 from .forward_automaton import ForwardAutomaton, build_forward, forward_search
-from .multi_ac import (AcAutomaton, AcNode, PatternSet, ac_search, build_ac,
-                       make_pattern_set)
-from .sublinear import (FallbackRequired, build_factor_tree, choose_b,
-                        search_or_fallback, sublinear_search)
+from .multi_ac import AcAutomaton, AcNode, ac_search, build_ac, make_pattern_set
+from .sublinear import (build_factor_tree, choose_b, search_or_fallback,
+                        sublinear_search)
 from .bench import (BenchConfig, BenchRecord, random_permutation, run_bench,
                     write_csv)
 
 __all__ = [
     "AcAutomaton", "AcNode", "BenchConfig", "BenchRecord", "DuplicateValue",
-    "EmptyInput", "FallbackRequired", "ForwardAutomaton", "InputError",
-    "MpAutomaton", "Occurrence", "Pattern",
-    "PatternLongerThanText", "PatternSet", "SearchStats", "ac_search",
+    "EmptyInput", "ForwardAutomaton", "InputError", "MpAutomaton",
+    "Occurrence", "Pattern", "PatternLongerThanText", "SearchStats", "ac_search",
     "build_ac", "build_factor_tree", "build_forward", "build_mp", "choose_b",
     "forward_search", "make_pattern_set", "mp_search", "naive_search",
     "random_permutation", "rank_normalize", "rep_table", "run_bench",

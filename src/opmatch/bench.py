@@ -17,8 +17,8 @@ from typing import Iterable, Optional, TextIO
 from .core import SearchStats, check_fits, naive_search, rep_table
 from .forward_automaton import build_forward, forward_search
 from .mp_automaton import build_mp, mp_search
-from .multi_ac import ac_search, build_ac, make_pattern_set
-from .sublinear import search_or_fallback
+from .multi_ac import ac_search, build_ac
+from .sublinear import sublinear_search
 
 PRNG_NOTE = "mt19937(random.Random.getrandbits)+fisher-yates+rejection"
 
@@ -95,7 +95,7 @@ def _ac(pattern, text):
     # pattern first so a bad one raises the same error as in the other engines
     pattern = rep_table(pattern)
     check_fits(len(pattern), len(text))
-    return ac_search(build_ac(make_pattern_set([pattern])), text)
+    return ac_search(build_ac((pattern,)), text)
 
 
 # Every engine as (pattern, text) -> (occurrences, stats), building what it
@@ -106,7 +106,7 @@ ENGINES = {
     "mp": lambda pattern, text: mp_search(build_mp(pattern), text),
     "forward": lambda pattern, text: forward_search(
         build_forward(build_mp(pattern)), text),
-    "sublinear": lambda pattern, text: search_or_fallback(pattern, text)[:2],
+    "sublinear": lambda pattern, text: sublinear_search(pattern, text),
     "ac": _ac,
 }
 

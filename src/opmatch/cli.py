@@ -60,8 +60,17 @@ def _read_tokens(path: str) -> list:
         raise InputError(f"{path}: {exc}") from None
 
 
+def _read_seq(path: str, make):
+    """make(the file's integers); an InputError from make names the file."""
+    values = _read_tokens(path)
+    try:
+        return make(values)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def _read_pattern_lines(path: str) -> list:
-    """One pattern per line; comment-only lines are skipped."""
+    """One Pattern per line; comment-only lines are skipped."""
     text = _read_text(path)
     # checked as a whole, but read from the raw lines: a comment-only line
     # is skipped, while a blank one is an error
@@ -75,7 +84,7 @@ def _read_pattern_lines(path: str) -> list:
         if not tokens:
             raise InputError(f"{path}:{lineno}: empty pattern line")
         try:
-            patterns.append([int(tok) for tok in tokens])
+            patterns.append(rep_table([int(tok) for tok in tokens]))
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from None
     if not patterns:
@@ -111,8 +120,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_search(args) -> int:
-    pattern = rep_table(_read_tokens(args.pattern))  # rep_table validates
-    text = validate_seq(_read_tokens(args.text))
+    pattern = _read_seq(args.pattern, rep_table)  # rep_table validates
+    text = _read_seq(args.text, validate_seq)
     occ, stats = bench_mod.ENGINES[args.algo](pattern, text)
     if args.algo == "sublinear" and (ran := fallback_for(len(pattern))):
         print("sublinear: pattern too short for backward-window search; "
@@ -125,7 +134,7 @@ def cmd_search(args) -> int:
 
 def cmd_multisearch(args) -> int:
     patterns = make_pattern_set(_read_pattern_lines(args.patterns))
-    text = validate_seq(_read_tokens(args.text))
+    text = _read_seq(args.text, validate_seq)
     occ, stats = ac_search(build_ac(patterns), text)
     _write_lines(f"{o.position}\t{o.pattern_id + 1}\n" for o in occ)
     if args.stats:
@@ -136,7 +145,7 @@ def cmd_multisearch(args) -> int:
 def cmd_bench(args) -> int:
     pattern = None
     if args.pattern_file:
-        pattern = rep_table(_read_tokens(args.pattern_file)).values
+        pattern = _read_seq(args.pattern_file, rep_table).values
     try:
         cfg = bench_mod.BenchConfig(algo=args.algo, n=args.n, trials=args.trials,
                                     seed=args.seed, m=args.m, pattern=pattern)

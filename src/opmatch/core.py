@@ -107,8 +107,8 @@ class SearchStats:
     symbols_read counts text-symbol inspections and transitions_taken
     automaton transition tests and failure steps.  verifications counts
     the checks an engine makes beyond its automaton: the backward-window
-    search (m >= 16) counts one per start it verifies naively, and the
-    sublinear dispatcher's up/down filter (6 <= m < 16) one per MP run
+    search (m >= 16) counts one per start it verifies naively, and
+    ``sublinear_search``'s up/down filter (6 <= m < 16) one per MP run
     started at a candidate; naive, mp, forward and ac leave it 0.  The
     filter counts the symbols its MP runs read, at most n; the C-level
     up/down encoding of the text reads every symbol once more and is not

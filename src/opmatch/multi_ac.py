@@ -35,18 +35,12 @@ from .core import (EmptyInput, PatternLike, SearchStats, _occurrences,
                    rep_table)
 
 
-@dataclass(frozen=True)
-class PatternSet:
-    """Validated patterns with stable input-order ids (0-based)."""
-
-    patterns: tuple
-
-
-def make_pattern_set(seqs: Iterable[PatternLike]) -> PatternSet:
-    patterns = tuple(rep_table(s) for s in seqs)
+def make_pattern_set(seqs: Iterable[PatternLike]) -> tuple:
+    """The patterns as a tuple of Patterns; ids are 0-based input order."""
+    patterns = tuple(map(rep_table, seqs))
     if not patterns:
         raise EmptyInput("pattern set must contain at least one pattern")
-    return PatternSet(patterns)
+    return patterns
 
 
 class AcNode:
@@ -82,13 +76,13 @@ class AcAutomaton:
     """
 
     root: AcNode
-    pattern_set: PatternSet
+    patterns: tuple
     node_count: int
     build_ops: int
     hit_outputs: tuple
 
 
-def build_ac(ps: PatternSet) -> AcAutomaton:
+def build_ac(patterns: tuple) -> AcAutomaton:
     """Trie of the normalized patterns with failure links and outputs.
 
     A reader reads symbol j only if its length-j prefix node has no failure
@@ -106,7 +100,7 @@ def build_ac(ps: PatternSet) -> AcAutomaton:
     root.fail = root
     nodes = [root]
     readers = []  # [path from the root, values, current node]
-    for pid, p in enumerate(ps.patterns):
+    for pid, p in enumerate(patterns):
         node = root
         path = [root]
         for key in p.back:
@@ -154,7 +148,7 @@ def build_ac(ps: PatternSet) -> AcAutomaton:
         if node.all_outputs:
             node.hit = len(hit_outputs)
             hit_outputs.append(node.all_outputs)
-    return AcAutomaton(root, ps, len(nodes), build_ops, tuple(hit_outputs))
+    return AcAutomaton(root, patterns, len(nodes), build_ops, tuple(hit_outputs))
 
 
 def _scan(node: AcNode, t: Sequence[int], lo: int, hi: int, hits):
@@ -223,7 +217,7 @@ def ac_search(a: AcAutomaton, t: Sequence[int]):
     n + 2 * failure steps + hops, with the hop off the node reached by the
     last symbol included.
     """
-    lengths = [len(p) for p in a.pattern_set.patterns]
+    lengths = [len(p) for p in a.patterns]
     hits = [[] for _ in a.hit_outputs]
     node, fails, hops = _scan(a.root, t, 0, len(t), hits)
     if node.after is not node:

@@ -16,7 +16,7 @@ checked naively.  Consecutive verification ranges tile the text exactly, so
 each candidate start is examined once and the result equals the naive scan.
 
 Patterns shorter than 16 have no backward read length, and
-``search_or_fallback`` searches them forward instead.  From m = 6 on it
+``sublinear_search`` searches them forward instead.  From m = 6 on it
 filters: every occurrence is an exact occurrence of the pattern's up/down
 code (one byte per adjacent pair, 1 for a rise), so C-level ``bytes.find``
 over the text's code skips the windows that cannot match, and MP's
@@ -36,10 +36,6 @@ from typing import Optional, Sequence
 from .core import (Pattern, PatternLike, SearchStats, _occurrences,
                    check_fits, rep_table, scan_alignments)
 from .mp_automaton import build_mp, mp_search
-
-
-class FallbackRequired(Exception):
-    """The pattern is too short for backward-window search (m < 16)."""
 
 
 def choose_b(m: int) -> Optional[int]:
@@ -90,18 +86,21 @@ def build_factor_tree(p: PatternLike, b: int) -> tuple:
 
 
 def sublinear_search(p: PatternLike, t: Sequence[int]):
-    """All occurrences of p in t; raises FallbackRequired for short patterns.
+    """All occurrences of p in t, with statistics, for every m.
 
-    symbols_read counts index reads plus verification reads; verifications
-    counts naive per-start checks.
+    Below m = 16 it runs ``fallback_for``'s pick: ``mp_search`` or the
+    up/down filter, counting as they do.  From m = 16 on, symbols_read
+    counts index reads plus verification reads, and verifications counts
+    naive per-start checks.
     """
     pat = rep_table(p)
     m = len(pat)
     n = len(t)
     check_fits(m, n)
+    ran = fallback_for(m)
+    if ran is not None:
+        return mp_search(build_mp(pat), t) if ran == "mp" else _filter_search(pat, t)
     b = choose_b(m)
-    if b is None:
-        raise FallbackRequired(f"no backward read length for m={m}")
     shift = m - b + 1
     levels = build_factor_tree(pat, b)
     # Level 0 holds only code 0, so the first read always passes; the read
@@ -198,21 +197,17 @@ def _filter_search(pat: Pattern, t: Sequence[int]):
 
 
 def fallback_for(m: int) -> Optional[str]:
-    """What search_or_fallback runs when sublinear_search declines m, or None."""
+    """What sublinear_search runs for m in place of the factor index, or None."""
     if choose_b(m) is not None:
         return None
     return "the up/down filter with mp verification" if m >= FILTER_MIN_M else "mp"
 
 
 def search_or_fallback(p: PatternLike, t: Sequence[int]):
-    """(occurrences, stats, fell_back) from sublinear_search or fallback_for's pick."""
+    """(occurrences, stats, fell_back): sublinear_search, and whether it ran forward.
+
+    Kept only because perfbench/run.py unpacks three items and counts
+    fell_back; it goes when the benchmark reads what ran from the stats.
+    """
     pat = rep_table(p)
-    check_fits(len(pat), len(t))
-    ran = fallback_for(len(pat))
-    if ran is None:
-        occurrences, stats = sublinear_search(pat, t)
-    elif ran == "mp":
-        occurrences, stats = mp_search(build_mp(pat), t)
-    else:
-        occurrences, stats = _filter_search(pat, t)
-    return occurrences, stats, ran is not None
+    return (*sublinear_search(pat, t), fallback_for(len(pat)) is not None)

@@ -189,7 +189,7 @@ def counted_ac(auto, t):
     last symbol included).  The count that ``ac_search`` derives must
     equal this one.
     """
-    lengths = [len(p) for p in auto.pattern_set.patterns]
+    lengths = [len(p) for p in auto.patterns]
     node = auto.root
     count = 0
     found = []

@@ -89,7 +89,7 @@ def test_criterion_2_oracle_equivalence_fuzz(fuzz_corpus):
         for n in (128, 512):
             text = random_permutation(n, rng.getrandbits(31))
             want = []
-            for pid, p in enumerate(ps.patterns):
+            for pid, p in enumerate(ps):
                 want.extend(Occurrence(o.position, pid)
                             for o in naive_search(p, text))
             want.sort()

@@ -78,7 +78,15 @@ class TestSearch:
         t = write(tmp_path / "t.txt", "3 5 3\n")
         code, _, err = run(capsys, "search", p, t)
         assert code == EX_DATA
-        assert "positions 1 and 3" in err
+        assert f"{t}: duplicate value 3 at positions 1 and 3" in err
+
+    def test_duplicate_pattern_value_is_data_error(self, tmp_path, capsys):
+        # the error names the pattern file, also after a comment
+        p = write(tmp_path / "p.txt", "1 2 3 # c\n4 5 4\n")
+        t = write(tmp_path / "t.txt", "1 2 3 4 5 6 7\n")
+        code, out, err = run(capsys, "search", p, t)
+        assert code == EX_DATA and out == ""
+        assert f"{p}: duplicate value 4 at positions 4 and 6" in err
 
     def test_all_engines_print_identical_positions(self, tmp_path, capsys):
         from opmatch.bench import random_permutation
@@ -110,6 +118,15 @@ class TestSearch:
         code, out, err = run(capsys, "search", "--algo", "sublinear", p8, t)
         assert code == EX_OK and out == ""
         assert "falling back to the up/down filter" in err
+        # m = 15 is the last length the filter takes; from m = 16 on the
+        # factor index runs and nothing is said
+        p15 = write(tmp_path / "p15.txt", " ".join(map(str, range(15, 0, -1))))
+        code, out, err = run(capsys, "search", "--algo", "sublinear", p15, t)
+        assert code == EX_OK and out == ""
+        assert "falling back to the up/down filter" in err
+        p16 = write(tmp_path / "p16.txt", " ".join(map(str, range(16, 0, -1))))
+        code, out, err = run(capsys, "search", "--algo", "sublinear", p16, t)
+        assert code == EX_OK and out == "" and err == ""
         # the notice cannot be silenced: the removed flag is a usage error
         code, out, _ = run(capsys, "search", "--algo", "sublinear", "--quiet", p, t)
         assert code == EX_USAGE and out == ""
@@ -130,10 +147,12 @@ class TestSearch:
         assert code == EX_OK and out == "1\n2\n"
 
     def test_empty_pattern_file(self, tmp_path, capsys):
-        p = write(tmp_path / "p.txt", "\n")
         t = write(tmp_path / "t.txt", "1 2\n")
-        code, _, _ = run(capsys, "search", p, t)
-        assert code == EX_DATA
+        for body in ("\n", "# no pattern\n"):
+            p = write(tmp_path / "p.txt", body)
+            code, out, err = run(capsys, "search", p, t)
+            assert code == EX_DATA and out == ""
+            assert f"{p}: pattern must contain at least one integer" in err, body
 
     def test_pattern_longer_than_text(self, tmp_path, capsys):
         p = write(tmp_path / "p.txt", "1 2 3\n")
@@ -237,7 +256,14 @@ class TestMultisearch:
         t = write(tmp_path / "t.txt", "3 1 4 1 2\n")
         code, out, err = run(capsys, "multisearch", pats, t)
         assert code == EX_DATA and out == ""
-        assert "positions 2 and 4" in err
+        assert f"{t}: duplicate value 1 at positions 2 and 4" in err
+
+    def test_duplicate_pattern_value_names_the_line(self, tmp_path, capsys):
+        pats = write(tmp_path / "pats.txt", "1 2\n3 1 3\n")
+        t = write(tmp_path / "t.txt", "3 1 4 2 5\n")
+        code, out, err = run(capsys, "multisearch", pats, t)
+        assert code == EX_DATA and out == ""
+        assert f"{pats}:2: duplicate value 3 at positions 1 and 3" in err
 
 
 def test_non_ascii_input_is_data_error(tmp_path, capsys):
@@ -301,6 +327,13 @@ class TestBench:
         code, out, _ = run(capsys, "bench", "--algo", "mp", "--m", "3", "--n", "64",
                            "--pattern-file", str(pat))
         assert code == EX_USAGE and out == ""
+
+    def test_duplicate_in_pattern_file_is_data_error(self, tmp_path, capsys):
+        pat = write(tmp_path / "p.txt", "4 12 6 12\n")
+        code, out, err = run(capsys, "bench", "--algo", "mp", "--n", "64",
+                             "--pattern-file", pat)
+        assert code == EX_DATA and out == ""
+        assert f"{pat}: duplicate value 12 at positions 2 and 4" in err
 
     def test_zero_trials_usage(self, capsys):
         code, out, _ = run(capsys, "bench", "--algo", "mp", "--m", "4", "--n", "8",

@@ -9,6 +9,7 @@ import gc
 import importlib
 import pkgutil
 import random
+import re
 import threading
 from pathlib import Path
 
@@ -297,27 +298,45 @@ class TestBorderTable:
                     assert oracle_oi(vals[:kk], vals[j - kk:j])
 
 
+# Names the package once had; none may come back, in code or in README.md.
+REMOVED_NAMES = (
+    "build_forward_lazy", "as_pattern", "WindowPlan", "materialized_states",
+    "check_extension", "PositionOutOfRange", "is_order_isomorphic", "IntSeq",
+    "oi_border_table", "FactorTree", "failure_targets", "match_depth",
+    "backward_for", "m_total", "normalize_set", "query", "__contains__", "_rep0",
+    "RepPair", "rep_sequence", "_read", "IntervalTransition", "backward",
+    "FallbackRequired", "PatternSet", "pattern_set",
+)
+
+
 def test_public_names_resolve_and_removed_names_are_gone():
     for name in opmatch.__all__:
         getattr(opmatch, name)
     predset = importlib.import_module("opmatch.predset")
     namespaces = [vars(opmatch)]
     namespaces += [vars(cls) for cls in (opmatch.MpAutomaton, opmatch.ForwardAutomaton,
-                                         opmatch.PatternSet, predset.PredSet)]
+                                         predset.PredSet)]
     namespaces += [vars(importlib.import_module(f"opmatch.{info.name}"))
                    for info in pkgutil.iter_modules(opmatch.__path__)]
-    for name in ("build_forward_lazy", "as_pattern", "WindowPlan",
-                 "materialized_states", "check_extension", "PositionOutOfRange",
-                 "is_order_isomorphic", "IntSeq", "oi_border_table", "FactorTree",
-                 "failure_targets", "match_depth", "backward_for", "m_total",
-                 "normalize_set", "query", "__contains__", "_rep0", "RepPair",
-                 "rep_sequence", "_read", "IntervalTransition", "backward"):
+    for name in REMOVED_NAMES:
         assert name not in opmatch.__all__
         assert not any(name in ns for ns in namespaces), name
     # vars() does not list dataclass fields without defaults
     assert [f.name for f in dataclasses.fields(Pattern)] == ["values", "back"]
     assert [f.name for f in dataclasses.fields(opmatch.ForwardAutomaton)] == [
         "pattern", "fail", "drop", "build_ops"]
+    assert [f.name for f in dataclasses.fields(opmatch.AcAutomaton)] == [
+        "root", "patterns", "node_count", "build_ops", "hit_outputs"]
+
+
+def test_readme_names_no_removed_name():
+    # every identifier in README's code spans and code blocks
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```.*?```", readme, flags=re.S)
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", readme, flags=re.S))
+    assert blocks and spans
+    named = {word for code in blocks + spans for word in re.findall(r"\w+", code)}
+    assert not named.intersection(REMOVED_NAMES), sorted(named.intersection(REMOVED_NAMES))
     # no engine uses the predecessor set, so the package does not export it
     for name in ("PredSet", "KeyAbsent", "KeyOutOfUniverse", "KeyPresent"):
         assert name not in opmatch.__all__

@@ -18,7 +18,7 @@ from conftest import counted_ac, random_distinct, shaped_patterns, shaped_texts
 
 def per_pattern_oracle(ps, t):
     out = []
-    for pid, p in enumerate(ps.patterns):
+    for pid, p in enumerate(ps):
         if len(p) <= len(t):
             out.extend(Occurrence(o.position, pid) for o in naive_search(p, t))
     out.sort()
@@ -38,7 +38,7 @@ def collect_nodes(root):
 
 def node_string(auto, node):
     """The node's string: the prefix of a pattern whose path passes through it."""
-    for p in auto.pattern_set.patterns:
+    for p in auto.patterns:
         walk = auto.root
         for key in p.back[:node.depth]:
             walk = walk.children[key]
@@ -62,17 +62,16 @@ def assert_same_build(a_mp, a_ac):
 class TestNormalizeSet:
     def test_running_example(self):
         ps = make_pattern_set([[4, 12, 6, 16, 10]])
-        assert ps.patterns[0].back == ((None, None), (1, None), (2, 1),
-                                       (2, None), (2, 3))
+        assert ps[0].back == ((None, None), (1, None), (2, 1),
+                              (2, None), (2, 3))
 
     def test_isomorphic_patterns_share_form(self):
-        ps = make_pattern_set([[4, 12, 6, 16, 10], [1, 4, 2, 5, 3]])
-        first, second = ps.patterns
+        first, second = make_pattern_set([[4, 12, 6, 16, 10], [1, 4, 2, 5, 3]])
         assert first.back == second.back
 
     def test_descending_pair(self):
         ps = make_pattern_set([[2, 1]])
-        assert ps.patterns[0].back == ((None, None), (None, 1))
+        assert ps[0].back == ((None, None), (None, 1))
 
     def test_empty_set_and_empty_pattern_raise_empty_input(self):
         for seqs in ([], [[1, 2], []]):
@@ -112,7 +111,7 @@ class TestBuildAc:
                     for _ in range(rng.randint(1, 5))]
             ps = make_pattern_set(seqs)
             auto = build_ac(ps)
-            assert auto.node_count <= sum(len(p) for p in ps.patterns) + 1
+            assert auto.node_count <= sum(len(p) for p in ps) + 1
 
     def test_fail_links_against_suffix_oracle(self):
         rng = random.Random(51)
@@ -167,7 +166,7 @@ class TestBuildAc:
                 for _ in range(200)]
         ps = make_pattern_set(seqs)
         auto = build_ac(ps)
-        assert auto.build_ops <= 8 * sum(len(p) for p in ps.patterns)
+        assert auto.build_ops <= 8 * sum(len(p) for p in ps)
 
 
 class TestAcSearch:
@@ -190,7 +189,7 @@ class TestAcSearch:
         auto = build_ac(make_pattern_set([[1, 2], [1, 2, 3], [2, 1]]))
         t = (1, 3, 5, 2, 4)
         occ, _ = ac_search(auto, t)
-        assert occ == per_pattern_oracle(auto.pattern_set, t)
+        assert occ == per_pattern_oracle(auto.patterns, t)
 
     def test_oracle_equality_fuzz(self):
         rng = random.Random(53)
@@ -260,7 +259,7 @@ class TestAcSearch:
         auto = build_ac(make_pattern_set([[1, 2, 3, 4], [2, 1], [3, 4, 1, 2]]))
         t = random_permutation(500, 77)
         occ, _ = ac_search(auto, t)
-        assert occ == per_pattern_oracle(auto.pattern_set, t)
+        assert occ == per_pattern_oracle(auto.patterns, t)
 
 
 def test_ac_counter_equals_counted_simulation():

@@ -9,8 +9,8 @@ import pytest
 
 from opmatch.bench import random_permutation
 from opmatch.core import naive_search, rank_normalize, rep_table
-from opmatch.sublinear import (FallbackRequired, build_factor_tree, choose_b,
-                               search_or_fallback, sublinear_search)
+from opmatch.sublinear import (build_factor_tree, choose_b, search_or_fallback,
+                               sublinear_search)
 
 from conftest import (converging_zigzag, oracle_insertion_ranks, oracle_oi,
                       plant_copies, positions, random_distinct)
@@ -154,9 +154,25 @@ class TestSublinearSearch:
         assert positions(occ) == [1]
         assert stats.verifications == 1
 
-    def test_short_pattern_raises_fallback(self):
-        with pytest.raises(FallbackRequired):
-            sublinear_search([4, 12, 6, 16, 10], tuple(range(100)))
+    def test_short_patterns_search_forward(self):
+        # below m = 16 there is no backward read length; mp (m = 5) and the
+        # up/down filter (m = 8) answer instead
+        rng = random.Random(64)
+        for m in (5, 8):
+            values = random_permutation(m, 40 + m)
+            t = plant_copies(rng, values, random_permutation(500, 50 + m))
+            occ, _ = sublinear_search(values, t)
+            assert occ and occ == naive_search(values, t), m
+
+    def test_fallback_helper_adds_whether_it_searched_forward(self):
+        # on both sides of m = 6 (mp, filter) and m = 16 (filter, index)
+        rng = random.Random(66)
+        t = random_permutation(2000, 61)
+        for m in (5, 6, 15, 16, 40):
+            p = random_permutation(m, 62 + m)
+            tm = plant_copies(rng, p, t)
+            assert search_or_fallback(p, tm) == (*sublinear_search(p, tm),
+                                                 choose_b(m) is None), m
 
     def test_fallback_helper_routes_to_mp(self):
         t = random_permutation(256, 4)
