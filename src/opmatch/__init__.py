@@ -17,15 +17,14 @@ from .forward_automaton import ForwardAutomaton, build_forward, forward_search
 from .multi_ac import AcAutomaton, AcNode, ac_search, build_ac, make_pattern_set
 from .sublinear import (build_factor_tree, choose_b, search_or_fallback,
                         sublinear_search)
-from .bench import (BenchConfig, BenchRecord, random_permutation, run_bench,
-                    write_csv)
+from .bench import random_permutation
 
 __all__ = [
-    "AcAutomaton", "AcNode", "BenchConfig", "BenchRecord", "DuplicateValue",
-    "EmptyInput", "ForwardAutomaton", "InputError", "MpAutomaton",
-    "Occurrence", "Pattern", "PatternLongerThanText", "SearchStats", "ac_search",
-    "build_ac", "build_factor_tree", "build_forward", "build_mp", "choose_b",
+    "AcAutomaton", "AcNode", "DuplicateValue", "EmptyInput",
+    "ForwardAutomaton", "InputError", "MpAutomaton", "Occurrence", "Pattern",
+    "PatternLongerThanText", "SearchStats", "ac_search", "build_ac",
+    "build_factor_tree", "build_forward", "build_mp", "choose_b",
     "forward_search", "make_pattern_set", "mp_search", "naive_search",
-    "random_permutation", "rank_normalize", "rep_table", "run_bench",
-    "search_or_fallback", "sublinear_search", "validate_seq", "write_csv",
+    "random_permutation", "rank_normalize", "rep_table", "search_or_fallback",
+    "sublinear_search", "validate_seq",
 ]

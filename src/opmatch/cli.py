@@ -9,11 +9,14 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import time
+from contextlib import nullcontext
 from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from . import bench as bench_mod
-from .core import InputError, SearchStats, rep_table, validate_seq
+from .core import (InputError, SearchStats, check_fits, rep_table,
+                   validate_seq)
 from .multi_ac import ac_search, build_ac, make_pattern_set
 from .sublinear import fallback_for
 
@@ -122,6 +125,10 @@ def cmd_gen(args) -> int:
 def cmd_search(args) -> int:
     pattern = _read_seq(args.pattern, rep_table)  # rep_table validates
     text = _read_seq(args.text, validate_seq)
+    try:
+        check_fits(len(pattern), len(text))
+    except InputError as exc:
+        raise InputError(f"{args.pattern}: {exc} of {args.text}") from None
     occ, stats = bench_mod.ENGINES[args.algo](pattern, text)
     if args.algo == "sublinear" and (ran := fallback_for(len(pattern))):
         print("sublinear: pattern too short for backward-window search; "
@@ -143,21 +150,39 @@ def cmd_multisearch(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    pattern = None
-    if args.pattern_file:
-        pattern = _read_seq(args.pattern_file, rep_table).values
-    try:
-        cfg = bench_mod.BenchConfig(algo=args.algo, n=args.n, trials=args.trials,
-                                    seed=args.seed, m=args.m, pattern=pattern)
-    except ValueError as exc:
-        print(f"opmatch bench: {exc}", file=sys.stderr)
+    """Run the trials and write CSV rows, deterministic apart from elapsed_ns.
+
+    Trial k derives text seed seed*1000003 + 2k and pattern seed one above
+    it; the text seed is the row's seed.  Each trial searches a fresh random
+    permutation of 1..m unless a pattern file fixes the pattern.  Elapsed
+    time covers build plus search.
+    """
+    fixed = _read_seq(args.pattern_file, rep_table) if args.pattern_file else None
+    m = args.m if fixed is None else len(fixed)
+    if args.trials < 1:
+        print("opmatch bench: trials must be >= 1", file=sys.stderr)
         return EX_USAGE
-    records = bench_mod.run_bench(cfg)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            bench_mod.write_csv(records, fh)
-    else:
-        bench_mod.write_csv(records, sys.stdout)
+    if not 1 <= m <= args.n:
+        print(f"opmatch bench: need 1 <= m <= n, got m={m}, n={args.n}",
+              file=sys.stderr)
+        return EX_USAGE
+    engine = bench_mod.ENGINES[args.algo]
+    with (open(args.out, "w", encoding="ascii") if args.out
+          else nullcontext(sys.stdout)) as sink:
+        sink.write(f"# prng={bench_mod.PRNG_NOTE}\n"
+                   "algo,m,n,seed,occurrences,symbols_read,transitions,"
+                   "verifications,elapsed_ns\n")
+        for k in range(args.trials):
+            seed = args.seed * 1000003 + 2 * k
+            pattern = (rep_table(bench_mod.random_permutation(m, seed + 1))
+                       if fixed is None else fixed)
+            text = bench_mod.random_permutation(args.n, seed)
+            t0 = time.perf_counter_ns()
+            occ, stats = engine(pattern, text)
+            elapsed = time.perf_counter_ns() - t0
+            sink.write(f"{args.algo},{m},{args.n},{seed},{len(occ)},"
+                       f"{stats.symbols_read},{stats.transitions_taken},"
+                       f"{stats.verifications},{elapsed}\n")
     return EX_OK
 
 
@@ -196,8 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run timed trials, emit CSV")
     p_bench.add_argument("--algo", choices=bench_mod.ENGINES, required=True)
-    p_bench.add_argument("--m", type=int, default=None)
-    p_bench.add_argument("--pattern-file", default=None)
+    source = p_bench.add_mutually_exclusive_group(required=True)
+    source.add_argument("--m", type=int, default=None)
+    source.add_argument("--pattern-file", default=None)
     p_bench.add_argument("--n", type=int, required=True)
     p_bench.add_argument("--trials", type=int, default=1)
     p_bench.add_argument("--seed", type=int, default=0)

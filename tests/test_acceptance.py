@@ -16,15 +16,13 @@ from itertools import permutations
 
 import pytest
 
-from opmatch.bench import (ENGINES, BenchConfig, random_permutation, run_bench,
-                           write_csv)
+from opmatch.bench import ENGINES, random_permutation
+from opmatch.cli import EX_OK, main
 from opmatch.core import Occurrence, naive_search, rep_table
 from opmatch.forward_automaton import build_forward
 from opmatch.mp_automaton import build_mp
 from opmatch.multi_ac import ac_search, build_ac, make_pattern_set
 from opmatch.sublinear import choose_b, search_or_fallback
-
-import io
 
 from conftest import oi_border_table
 
@@ -190,14 +188,12 @@ def test_criterion_8_build_cost_counters():
     report(8, True, "(" + "; ".join(checks) + f"; all <= {limit})")
 
 
-def test_criterion_9_bench_determinism():
-    cfg = BenchConfig(algo="mp", m=8, n=1024, trials=3, seed=7)
-
+def test_criterion_9_bench_determinism(capsys):
     def render():
-        sink = io.StringIO()
-        write_csv(run_bench(cfg), sink)
-        return ["," .join(line.split(",")[:-1])
-                for line in sink.getvalue().splitlines()]
+        assert main(["bench", "--algo", "mp", "--m", "8", "--n", "1024",
+                     "--trials", "3", "--seed", "7"]) == EX_OK
+        return [",".join(line.split(",")[:-1])
+                for line in capsys.readouterr().out.splitlines()]
 
     assert render() == render()
     report(9, True, "(identical CSV modulo elapsed_ns)")

@@ -1,19 +1,30 @@
-"""Benchmark harness: deterministic inputs, counters, CSV shape."""
+"""`opmatch bench`: deterministic inputs, counters, CSV shape."""
 
 from __future__ import annotations
 
-import io
-
 import pytest
 
-from opmatch.bench import (CSV_HEADER, ENGINES, BenchConfig, BenchRecord,
-                           random_permutation, run_bench, write_csv)
+from opmatch.bench import ENGINES, random_permutation
+from opmatch.cli import EX_OK, EX_USAGE, main
+from opmatch.core import rep_table
+
+HEADER = "algo,m,n,seed,occurrences,symbols_read,transitions,verifications,elapsed_ns"
 
 
-def csv_lines(records):
-    sink = io.StringIO()
-    write_csv(records, sink)
-    return sink.getvalue().splitlines()
+def bench_lines(capsys, *argv):
+    """The output lines of one successful `opmatch bench` run."""
+    code = main(["bench", *map(str, argv)])
+    assert code == EX_OK
+    return capsys.readouterr().out.splitlines()
+
+
+def bench_rows(capsys, *argv):
+    """The CSV rows of one run as dicts, every field but algo an int."""
+    lines = bench_lines(capsys, *argv)
+    assert lines[1] == HEADER
+    return [{name: value if name == "algo" else int(value)
+             for name, value in zip(HEADER.split(","), line.split(","))}
+            for line in lines[2:]]
 
 
 def strip_elapsed(lines):
@@ -49,82 +60,95 @@ class TestRandomPermutation:
 
 
 class TestRunBench:
-    def test_naive_read_bound(self):
-        cfg = BenchConfig(algo="naive", m=4, n=64, trials=2, seed=1)
-        records = run_bench(cfg)
-        assert len(records) == 2
-        for rec in records:
-            assert rec.symbols_read <= 4 * 61
-            assert rec.occurrences >= 0
+    def test_naive_read_bound(self, capsys):
+        rows = bench_rows(capsys, "--algo", "naive", "--m", 4, "--n", 64,
+                          "--trials", 2, "--seed", 1)
+        assert len(rows) == 2
+        for row in rows:
+            assert row["symbols_read"] <= 4 * 61
+            assert row["occurrences"] >= 0
 
-    def test_mp_transition_bound(self):
-        cfg = BenchConfig(algo="mp", m=8, n=1024, trials=3, seed=7)
-        for rec in run_bench(cfg):
-            assert rec.transitions <= 3 * 1024
+    def test_mp_transition_bound(self, capsys):
+        for row in bench_rows(capsys, "--algo", "mp", "--m", 8, "--n", 1024,
+                              "--trials", 3, "--seed", 7):
+            assert row["transitions"] <= 3 * 1024
 
-    def test_forward_transition_bound(self):
-        cfg = BenchConfig(algo="forward", m=8, n=1024, trials=3, seed=7)
-        for rec in run_bench(cfg):
-            assert rec.transitions <= 2 * 1024
+    def test_forward_transition_bound(self, capsys):
+        for row in bench_rows(capsys, "--algo", "forward", "--m", 8, "--n", 1024,
+                              "--trials", 3, "--seed", 7):
+            assert row["transitions"] <= 2 * 1024
 
-    def test_all_algorithms_run(self):
+    def test_all_algorithms_run(self, capsys):
         for algo in ENGINES:
-            cfg = BenchConfig(algo=algo, m=20, n=400, trials=1, seed=5)
-            (rec,) = run_bench(cfg)
-            assert rec.algo == algo and rec.m == 20 and rec.n == 400
+            (row,) = bench_rows(capsys, "--algo", algo, "--m", 20, "--n", 400,
+                                "--trials", 1, "--seed", 5)
+            assert row["algo"] == algo and row["m"] == 20 and row["n"] == 400
 
-    def test_engines_agree_on_occurrence_count(self):
+    def test_engines_agree_on_occurrence_count(self, capsys):
         counts = set()
         for algo in ("naive", "mp", "forward", "sublinear"):
-            cfg = BenchConfig(algo=algo, m=6, n=512, trials=2, seed=11)
-            counts.add(tuple(r.occurrences for r in run_bench(cfg)))
+            rows = bench_rows(capsys, "--algo", algo, "--m", 6, "--n", 512,
+                              "--trials", 2, "--seed", 11)
+            counts.add(tuple(row["occurrences"] for row in rows))
         assert len(counts) == 1
 
-    def test_fixed_pattern(self):
-        cfg = BenchConfig(algo="mp", pattern=(4, 12, 6, 16, 10), n=256,
-                          trials=2, seed=3)
-        for rec in run_bench(cfg):
-            assert rec.m == 5
+    def test_fixed_pattern(self, tmp_path, capsys):
+        pat = tmp_path / "p.txt"
+        pat.write_text("4 12 6 16 10\n", encoding="ascii")
+        rows = bench_rows(capsys, "--algo", "mp", "--pattern-file", pat,
+                          "--n", 256, "--trials", 2, "--seed", 3)
+        assert [row["m"] for row in rows] == [5, 5]
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BenchConfig(algo="bogus", m=4, n=8, trials=1, seed=0)
-        with pytest.raises(ValueError):
-            BenchConfig(algo="mp", m=4, n=8, trials=0, seed=0)
-        with pytest.raises(ValueError):
-            BenchConfig(algo="mp", n=8, trials=1, seed=0)
-        with pytest.raises(ValueError):
-            BenchConfig(algo="mp", m=9, n=8, trials=1, seed=0)
-        with pytest.raises(ValueError):  # m conflicts with the fixed pattern
-            BenchConfig(algo="mp", m=3, pattern=(4, 12, 6, 16, 10), n=64,
-                        trials=1, seed=0)
+    def test_config_validation(self, tmp_path, capsys):
+        # an unknown engine, zero trials, neither or both of --m and
+        # --pattern-file: test_cli.py's TestBench
+        pat = tmp_path / "p.txt"
+        pat.write_text("4 12 6 16 10\n", encoding="ascii")
+        for argv in (("--algo", "mp", "--m", 9, "--n", 8),
+                     ("--algo", "mp", "--pattern-file", pat, "--n", 4)):
+            assert main(["bench", *map(str, argv)]) == EX_USAGE, argv
+            assert capsys.readouterr().out == "", argv
 
-    def test_counter_sanity(self):
+    def test_counter_sanity(self, capsys):
         for algo in ENGINES:
-            cfg = BenchConfig(algo=algo, m=3, n=2048, trials=2, seed=13)
-            for rec in run_bench(cfg):
-                assert rec.symbols_read >= rec.occurrences
-                assert rec.transitions >= 0
-                assert rec.verifications >= 0 and rec.elapsed_ns >= 0
+            for row in bench_rows(capsys, "--algo", algo, "--m", 3, "--n", 2048,
+                                  "--trials", 2, "--seed", 13):
+                assert row["symbols_read"] >= row["occurrences"]
+                assert row["transitions"] >= 0
+                assert row["verifications"] >= 0 and row["elapsed_ns"] >= 0
 
 
 class TestCsv:
-    def test_header_and_provenance(self):
-        cfg = BenchConfig(algo="mp", m=4, n=64, trials=2, seed=1)
-        lines = csv_lines(run_bench(cfg))
+    def test_header_and_provenance(self, capsys):
+        lines = bench_lines(capsys, "--algo", "mp", "--m", 4, "--n", 64,
+                            "--trials", 2, "--seed", 1)
         assert lines[0].startswith("# prng=")
-        assert lines[1] == CSV_HEADER == (
-            "algo,m,n,seed,occurrences,symbols_read,transitions,verifications,elapsed_ns")
+        assert lines[1] == HEADER
         assert len(lines) == 4
 
-    def test_determinism_modulo_elapsed(self):
-        cfg = BenchConfig(algo="forward", m=8, n=512, trials=3, seed=42)
-        a = strip_elapsed(csv_lines(run_bench(cfg)))
-        b = strip_elapsed(csv_lines(run_bench(cfg)))
+    def test_determinism_modulo_elapsed(self, capsys):
+        argv = ("--algo", "forward", "--m", 8, "--n", 512, "--trials", 3,
+                "--seed", 42)
+        a = strip_elapsed(bench_lines(capsys, *argv))
+        b = strip_elapsed(bench_lines(capsys, *argv))
         assert a == b
 
-    def test_row_fields(self):
-        rec = BenchRecord(algo="mp", m=2, n=4, seed=9, occurrences=1,
-                          symbols_read=4, transitions=7, verifications=0,
-                          elapsed_ns=123)
-        assert rec.csv_row() == "mp,2,4,9,1,4,7,0,123"
+    def test_row_fields(self, capsys):
+        # trial k searches random_permutation(m, s + 1) in
+        # random_permutation(n, s) with s = seed*1000003 + 2k, and its row
+        # is the engine's counts in header order
+        for algo in ENGINES:
+            rows = bench_rows(capsys, "--algo", algo, "--m", 4, "--n", 64,
+                              "--trials", 2, "--seed", 9)
+            for k, row in enumerate(rows):
+                seed = 9 * 1000003 + 2 * k
+                occ, stats = ENGINES[algo](
+                    rep_table(random_permutation(4, seed + 1)),
+                    random_permutation(64, seed))
+                assert row == {
+                    "algo": algo, "m": 4, "n": 64, "seed": seed,
+                    "occurrences": len(occ), "symbols_read": stats.symbols_read,
+                    "transitions": stats.transitions_taken,
+                    "verifications": stats.verifications,
+                    "elapsed_ns": row["elapsed_ns"]}
+                assert row["elapsed_ns"] >= 0

@@ -158,8 +158,10 @@ class TestSearch:
         p = write(tmp_path / "p.txt", "1 2 3\n")
         t = write(tmp_path / "t.txt", "1 2\n")
         for algo in ENGINES:
-            code, _, _ = run(capsys, "search", "--algo", algo, p, t)
-            assert code == EX_DATA, algo
+            code, out, err = run(capsys, "search", "--algo", algo, p, t)
+            assert code == EX_DATA and out == "", algo
+            assert (f"{p}: pattern length 3 exceeds text length 2 of {t}"
+                    in err), algo
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         t = write(tmp_path / "t.txt", "1 2\n")
@@ -343,6 +345,48 @@ class TestBench:
     def test_zero_n_usage(self, capsys):
         code, out, _ = run(capsys, "bench", "--algo", "mp", "--n", "0", "--m", "1")
         assert code == EX_USAGE and out == ""
+
+    def test_golden_rows(self, tmp_path, capsys):
+        # the seeds fix columns 1-8 of every row; only elapsed_ns may vary
+        pat = write(tmp_path / "p.txt",
+                    "# sixteen values\n9 3 14 1 16 7 12 5\n2 15 8 11 4 13 6 10\n")
+        runs = {
+            ("--m", "8", "--n", "1024", "--trials", "3", "--seed", "7"): {
+                "naive": ["8,1024,7000021,0,2781,0,0", "8,1024,7000023,0,2760,0,0",
+                          "8,1024,7000025,0,2761,0,0"],
+                "mp": ["8,1024,7000021,0,1024,2724,0", "8,1024,7000023,0,1024,2612,0",
+                       "8,1024,7000025,0,1024,2702,0"],
+                "forward": ["8,1024,7000021,0,1024,1840,0",
+                            "8,1024,7000023,0,1024,1817,0",
+                            "8,1024,7000025,0,1024,1863,0"],
+                "sublinear": ["8,1024,7000021,0,158,344,23",
+                              "8,1024,7000023,0,37,83,11",
+                              "8,1024,7000025,0,77,165,18"],
+                "ac": ["8,1024,7000021,0,1024,2724,0", "8,1024,7000023,0,1024,2612,0",
+                       "8,1024,7000025,0,1024,2702,0"],
+            },
+            ("--pattern-file", pat, "--n", "4096", "--trials", "2", "--seed", "3"): {
+                "naive": ["16,4096,3000009,0,11097,0,0", "16,4096,3000011,0,11073,0,0"],
+                "mp": ["16,4096,3000009,0,4096,10892,0", "16,4096,3000011,0,4096,10910,0"],
+                "forward": ["16,4096,3000009,0,4096,7353,0",
+                            "16,4096,3000011,0,4096,7370,0"],
+                "sublinear": ["16,4096,3000009,0,1777,0,20",
+                              "16,4096,3000011,0,1711,0,0"],
+                "ac": ["16,4096,3000009,0,4096,10892,0", "16,4096,3000011,0,4096,10910,0"],
+            },
+        }
+        for argv, want in runs.items():
+            assert set(want) == set(ENGINES)
+            for algo, rows in want.items():
+                code, out, _ = run(capsys, "bench", "--algo", algo, *argv)
+                assert code == EX_OK, (algo, argv)
+                lines = out.splitlines()
+                assert lines[:2] == [
+                    "# prng=mt19937(random.Random.getrandbits)+fisher-yates+rejection",
+                    "algo,m,n,seed,occurrences,symbols_read,transitions,"
+                    "verifications,elapsed_ns"]
+                assert [line.rsplit(",", 1)[0] for line in lines[2:]] == [
+                    f"{algo},{row}" for row in rows], (algo, argv)
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -305,7 +305,8 @@ REMOVED_NAMES = (
     "oi_border_table", "FactorTree", "failure_targets", "match_depth",
     "backward_for", "m_total", "normalize_set", "query", "__contains__", "_rep0",
     "RepPair", "rep_sequence", "_read", "IntervalTransition", "backward",
-    "FallbackRequired", "PatternSet", "pattern_set",
+    "FallbackRequired", "PatternSet", "pattern_set", "BenchConfig", "BenchRecord",
+    "run_bench", "write_csv", "CSV_HEADER", "csv_row",
 )
 
 
