@@ -29,9 +29,15 @@ def _randbelow(rng: random.Random, k: int) -> int:
 
 
 def random_permutation(n: int, seed: int) -> tuple:
-    """Uniform permutation of 1..n, deterministic for (n, seed)."""
+    """Uniform permutation of 1..n, deterministic for (n, seed).
+
+    A negative seed raises ValueError: ``random.Random`` seeds an int by its
+    absolute value, so -s would repeat the permutation of s.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = random.Random(seed)
     a = list(range(1, n + 1))
     for i in range(n - 1, 0, -1):

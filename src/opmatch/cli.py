@@ -24,7 +24,8 @@ EX_OK = 0
 EX_IOERR = 2
 EX_USAGE = 64
 EX_DATA = 65
-OUTPUT_BLOCK = 8192  # occurrence lines per write
+OUTPUT_BLOCK = 8192  # output lines per write
+READ_CHUNK = 1 << 16  # characters per read of a text file
 
 
 def _read_text(path: str) -> str:
@@ -37,7 +38,8 @@ def _read_text(path: str) -> str:
 
 
 # A comment runs to the next ASCII line break of str.splitlines.
-_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c-\x1e]*")
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e"
+_COMMENT = re.compile(f"#[^{_LINE_BREAKS}]*")
 
 
 def _decimal_body(path: str, text: str) -> str:
@@ -72,6 +74,62 @@ def _read_seq(path: str, make):
         raise InputError(f"{path}: {exc}") from None
 
 
+def _cut(buf: str) -> int:
+    """Where a piece of read text may end, so that no token or comment spans it.
+
+    The cut is at the start of a comment on the last line, or else just
+    after the last whitespace; what follows it is carried to the next piece.
+    """
+    end = buf.rfind("\n")  # the usual break first: the rest scan only past it
+    for ch in _LINE_BREAKS:
+        end = max(end, buf.rfind(ch, end + 1))
+    comment = buf.find("#", end + 1)
+    if comment >= 0:
+        return comment
+    for ch in " \t\x1f":  # the whitespace that breaks no line
+        end = max(end, buf.rfind(ch, end + 1))
+    return end + 1
+
+
+def _parse_into(piece: str, values: list, seen: set) -> None:
+    """Append the piece's integers to values and to seen."""
+    if "#" in piece:
+        piece = _COMMENT.sub("", piece)
+    if "_" in piece or "+" in piece:
+        raise ValueError("not a decimal integer")
+    new = list(map(int, piece.split()))
+    values += new
+    seen.update(new)
+
+
+def _read_text_values(path: str) -> list:
+    """The text file's integers, checked for distinctness as they arrive.
+
+    The file is read READ_CHUNK characters at a time and cut into pieces
+    that are parsed on their own (``_cut``), so beside the values and their
+    set only one piece is held.  A malformed token or byte, or a repeated
+    value, re-reads the file through ``_read_seq``, which raises the
+    whole-file reader's error: its precedence and its byte positions.
+    """
+    values: list = []
+    seen: set = set()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            carry = ""
+            while chunk := fh.read(READ_CHUNK):
+                buf = carry + chunk
+                cut = _cut(buf)
+                carry = buf[cut:]
+                _parse_into(buf[:cut], values, seen)
+            _parse_into(carry, values, seen)
+    except ValueError:  # UnicodeDecodeError, int() or _parse_into
+        pass
+    else:
+        if len(seen) == len(values):
+            return values
+    return _read_seq(path, validate_seq)
+
+
 def _read_pattern_lines(path: str) -> list:
     """One Pattern per line; comment-only lines are skipped."""
     text = _read_text(path)
@@ -95,11 +153,16 @@ def _read_pattern_lines(path: str) -> list:
     return patterns
 
 
-def _write_lines(lines: Iterable[str]) -> None:
-    """Write the lines to standard output, one write per OUTPUT_BLOCK lines."""
+def _write_lines(lines: Iterable[str], sink) -> None:
+    """Write the lines to sink, one write per OUTPUT_BLOCK lines."""
     lines = iter(lines)
     while block := "".join(islice(lines, OUTPUT_BLOCK)):
-        sys.stdout.write(block)
+        sink.write(block)
+
+
+def _output(path: Optional[str]):
+    """The file at path opened for writing, or standard output if no path."""
+    return open(path, "w", encoding="ascii") if path else nullcontext(sys.stdout)
 
 
 def _print_stats(stats: SearchStats, out) -> None:
@@ -112,19 +175,18 @@ def cmd_gen(args) -> int:
     if args.n < 1:
         print("opmatch: --n must be >= 1", file=sys.stderr)
         return EX_USAGE
+    if args.seed < 0:
+        print("opmatch: --seed must be >= 0", file=sys.stderr)
+        return EX_USAGE
     seq = bench_mod.random_permutation(args.n, args.seed)
-    body = "\n".join(str(v) for v in seq) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+    with _output(args.out) as sink:
+        _write_lines((f"{v}\n" for v in seq), sink)
     return EX_OK
 
 
 def cmd_search(args) -> int:
     pattern = _read_seq(args.pattern, rep_table)  # rep_table validates
-    text = _read_seq(args.text, validate_seq)
+    text = _read_text_values(args.text)
     try:
         check_fits(len(pattern), len(text))
     except InputError as exc:
@@ -133,7 +195,7 @@ def cmd_search(args) -> int:
     if args.algo == "sublinear" and (ran := fallback_for(len(pattern))):
         print("sublinear: pattern too short for backward-window search; "
               f"falling back to {ran}", file=sys.stderr)
-    _write_lines(f"{o.position}\n" for o in occ)
+    _write_lines((f"{o.position}\n" for o in occ), sys.stdout)
     if args.stats:
         _print_stats(stats, sys.stdout)
     return EX_OK
@@ -141,9 +203,9 @@ def cmd_search(args) -> int:
 
 def cmd_multisearch(args) -> int:
     patterns = make_pattern_set(_read_pattern_lines(args.patterns))
-    text = _read_seq(args.text, validate_seq)
+    text = _read_text_values(args.text)
     occ, stats = ac_search(build_ac(patterns), text)
-    _write_lines(f"{o.position}\t{o.pattern_id + 1}\n" for o in occ)
+    _write_lines((f"{o.position}\t{o.pattern_id + 1}\n" for o in occ), sys.stdout)
     if args.stats:
         _print_stats(stats, sys.stdout)
     return EX_OK
@@ -162,13 +224,15 @@ def cmd_bench(args) -> int:
     if args.trials < 1:
         print("opmatch bench: trials must be >= 1", file=sys.stderr)
         return EX_USAGE
+    if args.seed < 0:
+        print("opmatch bench: --seed must be >= 0", file=sys.stderr)
+        return EX_USAGE
     if not 1 <= m <= args.n:
         print(f"opmatch bench: need 1 <= m <= n, got m={m}, n={args.n}",
               file=sys.stderr)
         return EX_USAGE
     engine = bench_mod.ENGINES[args.algo]
-    with (open(args.out, "w", encoding="ascii") if args.out
-          else nullcontext(sys.stdout)) as sink:
+    with _output(args.out) as sink:
         sink.write(f"# prng={bench_mod.PRNG_NOTE}\n"
                    "algo,m,n,seed,occurrences,symbols_read,transitions,"
                    "verifications,elapsed_ns\n")

@@ -58,6 +58,12 @@ class TestRandomPermutation:
         with pytest.raises(ValueError):
             random_permutation(0, 1)
 
+    def test_rejects_negative_seed(self):
+        # random.Random seeds an int by its absolute value, so -7 would
+        # silently repeat the permutation of 7
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            random_permutation(8, -7)
+
 
 class TestRunBench:
     def test_naive_read_bound(self, capsys):

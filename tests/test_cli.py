@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import argparse
 import random
+import tracemalloc
 
 import pytest
 
-from opmatch.bench import ENGINES
+from opmatch import cli
+from opmatch.bench import ENGINES, random_permutation
 from opmatch.cli import (EX_DATA, EX_IOERR, EX_OK, EX_USAGE, OUTPUT_BLOCK,
-                         _read_tokens, build_parser, main)
-from opmatch.core import InputError
+                         _read_text_values, _read_tokens, build_parser, main)
+from opmatch.core import InputError, validate_seq
 
 from conftest import oracle_positions
 
@@ -59,6 +61,26 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--n", "3",
                            "--out", str(tmp_path / "missing" / "t.txt"))
         assert code == EX_IOERR and err
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        # random.Random would seed -7 as 7 and write the same file
+        out = tmp_path / "t.txt"
+        code, printed, err = run(capsys, "gen", "--n", "8", "--seed", "-7",
+                                 "--out", str(out))
+        assert code == EX_USAGE and printed == ""
+        assert "--seed must be >= 0" in err and not out.exists()
+
+    def test_output_spanning_blocks_is_unchanged(self, tmp_path, capsys):
+        # written in blocks, the file is still the whole body in one piece
+        n = 2 * OUTPUT_BLOCK + 5
+        body = "\n".join(str(v) for v in random_permutation(n, 11)) + "\n"
+        code, printed, _ = run(capsys, "gen", "--n", str(n), "--seed", "11")
+        assert code == EX_OK and printed == body
+        out = tmp_path / "t.txt"
+        code, printed, _ = run(capsys, "gen", "--n", str(n), "--seed", "11",
+                               "--out", str(out))
+        assert code == EX_OK and printed == ""
+        assert out.read_bytes() == body.encode("ascii")
 
 
 class TestSearch:
@@ -342,6 +364,12 @@ class TestBench:
                            "--trials", "0")
         assert code == EX_USAGE and out == ""
 
+    def test_negative_seed_usage(self, capsys):
+        code, out, err = run(capsys, "bench", "--algo", "mp", "--m", "4", "--n", "8",
+                             "--seed", "-1")
+        assert code == EX_USAGE and out == ""
+        assert "--seed must be >= 0" in err
+
     def test_zero_n_usage(self, capsys):
         code, out, _ = run(capsys, "bench", "--algo", "mp", "--n", "0", "--m", "1")
         assert code == EX_USAGE and out == ""
@@ -423,6 +451,15 @@ def reference_tokens(path):
         raise InputError(f"{path}: {exc}") from None
 
 
+def reference_values(path):
+    """A text file's contract: its tokens, then one duplicate check."""
+    values = reference_tokens(path)
+    try:
+        return list(validate_seq(values))
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def read_outcome(reader, path):
     try:
         return reader(path)
@@ -430,8 +467,22 @@ def read_outcome(reader, path):
         return str(exc)
 
 
+# the default and two sizes that cut nearly every token and comment
+CHUNKS = (1, 3, cli.READ_CHUNK)
+
 FUZZ_ALPHABET = (list("0123456789") * 3 + list("-#_+x")
                  + list(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f") + ["\r\n"])
+SEPARATORS = list(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f") + ["\r\n", "  # c_+x\n"]
+
+
+def long_fuzz_body(rng, k):
+    """More than cli.READ_CHUNK characters of k distinct tokens with mixed
+    separators and comments, where one character of FUZZ_ALPHABET may be
+    put in at random."""
+    body = "".join(f"{v}{rng.choice(SEPARATORS)}"
+                   for v in rng.sample(range(-10 ** 6, 10 ** 6), k))
+    at = rng.randrange(len(body))
+    return body[:at] + rng.choice(["", *FUZZ_ALPHABET]) + body[at:]
 
 
 @pytest.mark.parametrize("body, tokens", [
@@ -439,24 +490,93 @@ FUZZ_ALPHABET = (list("0123456789") * 3 + list("-#_+x")
     ("# c\x1f5", []),     # \x1f separates tokens but is no line break
     ("1\x1f2", [1, 2]),
 ])
-def test_reader_line_breaks_and_separators(tmp_path, body, tokens):
+def test_reader_line_breaks_and_separators(tmp_path, monkeypatch, body, tokens):
     path = tmp_path / "t.txt"
     path.write_bytes(body.encode("ascii"))
     assert _read_tokens(str(path)) == reference_tokens(str(path)) == tokens
+    for chunk in CHUNKS:
+        monkeypatch.setattr(cli, "READ_CHUNK", chunk)
+        assert _read_text_values(str(path)) == tokens, chunk
 
 
-def test_reader_matches_reference_on_fuzzed_files(tmp_path):
+def test_reader_matches_reference_on_fuzzed_files(tmp_path, monkeypatch):
     rng = random.Random(20131)
     path = tmp_path / "t.txt"
     parsed = rejected = 0
-    for _ in range(3000):
-        body = "".join(rng.choices(FUZZ_ALPHABET, k=rng.randint(0, 40)))
+    bodies = ["".join(rng.choices(FUZZ_ALPHABET, k=rng.randint(0, 40)))
+              for _ in range(3000)]
+    bodies += [long_fuzz_body(rng, 12_000) for _ in range(8)]
+    assert sum(len(body) > cli.READ_CHUNK for body in bodies) == 8
+    for body in bodies:
         path.write_bytes(body.encode("ascii"))
-        got = read_outcome(_read_tokens, str(path))
-        assert got == read_outcome(reference_tokens, str(path)), repr(body)
-        if isinstance(got, list):
+        # the whole-file reader, which reads pattern files
+        assert (read_outcome(_read_tokens, str(path))
+                == read_outcome(reference_tokens, str(path))), repr(body)
+        want = read_outcome(reference_values, str(path))
+        # a one-character chunk adds nothing on a long body but time
+        for chunk in CHUNKS if len(body) <= 40 else CHUNKS[1:]:
+            monkeypatch.setattr(cli, "READ_CHUNK", chunk)
+            got = read_outcome(_read_text_values, str(path))
+            assert got == want, (chunk, repr(body[:80]))
+        if isinstance(want, list):
             parsed += 1
         else:
             rejected += 1
     # both outcomes are common, so neither comparison is vacuous
     assert parsed > 300 and rejected > 300
+
+
+@pytest.mark.parametrize("body, chunk, want", [
+    # a token cut by the boundary
+    ("123 456\n-78", 2, [123, 456, -78]),
+    # a comment that spans boundaries, with characters that would be errors
+    ("1 # a_b +c x\n2 #\n3", 3, [1, 2, 3]),
+    # \r\n cut by the boundary, also inside a comment's end
+    ("1\r\n2 #c\r\n3\r\n", 2, [1, 2, 3]),
+    # \r\n cut where the file is read in blocks of bytes
+    ("#" + "c" * 8190 + "\r\n7", 8192, [7]),
+    # a '_' in a later piece beats a bad token in an earlier one
+    ("1 x 2\n3 4_5\n", 3, "invalid integer '4_5'"),
+    ("1 -\n2\n", 2, "invalid literal for int() with base 10: '-'"),
+    # a repeated value in a later piece names both 1-based positions
+    ("50 60 70 80 90 50\n", 3, "duplicate value 50 at positions 1 and 6"),
+])
+def test_reader_across_chunk_boundaries(tmp_path, monkeypatch, body, chunk, want):
+    path = tmp_path / "t.txt"
+    path.write_bytes(body.encode("ascii"))
+    monkeypatch.setattr(cli, "READ_CHUNK", chunk)
+    if isinstance(want, list):
+        assert _read_text_values(str(path)) == want
+    else:
+        with pytest.raises(InputError) as info:
+            _read_text_values(str(path))
+        assert str(info.value) == f"{path}: {want}"
+
+
+def test_reader_names_the_absolute_position_of_a_bad_byte(tmp_path, monkeypatch):
+    # the byte lies past the first chunk; the error is the whole file's
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"1 2 3 4\n\xff 5\n")
+    monkeypatch.setattr(cli, "READ_CHUNK", 3)
+    with pytest.raises(InputError) as info:
+        _read_text_values(str(path))
+    assert str(info.value) == (f"{path}: 'ascii' codec can't decode byte 0xff "
+                               "in position 8: ordinal not in range(128)")
+
+
+@pytest.mark.parametrize("header, sep", [("# one value per line\n", "\n"), ("", " ")])
+def test_reader_peak_memory_stays_near_its_result(tmp_path, header, sep):
+    # 1e5 values of the benchmark's width; the whole-file reader peaked at
+    # 3.34 times the result on these files
+    values = random.Random(2027).sample(range(-2 ** 60, 2 ** 60), 10 ** 5)
+    path = tmp_path / "t.txt"
+    path.write_text(header + sep.join(map(str, values)) + "\n", encoding="ascii")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = _read_text_values(str(path))
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == values
+    assert peak - before < 3 * (after - before)
