@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 
-from .core import SearchStats, check_fits, naive_search, rep_table
+from .core import (SearchStats, _occurrences, check_fits, naive_search,
+                   rep_table)
 from .forward_automaton import build_forward, forward_search
 from .mp_automaton import build_mp, mp_search
 from .multi_ac import ac_search, build_ac
@@ -46,28 +47,34 @@ def random_permutation(n: int, seed: int) -> tuple:
     return tuple(a)
 
 
-def _naive(pattern, text):
+def _naive(pattern, text, make=_occurrences):
     stats = SearchStats()
-    return naive_search(pattern, text, stats), stats
+    return naive_search(pattern, text, stats, make), stats
 
 
-def _ac(pattern, text):
+def _ac(pattern, text, make=_occurrences):
     # ac_search alone accepts a text shorter than its patterns; validate the
-    # pattern first so a bad one raises the same error as in the other engines
+    # pattern first so a bad one raises the same error as in the other engines.
+    # Only the one pattern's own node has outputs, so its matches are one
+    # run in order and need not be sorted.
     pattern = rep_table(pattern)
     check_fits(len(pattern), len(text))
-    return ac_search(build_ac((pattern,)), text)
+    return ac_search(build_ac((pattern,)), text, make)
 
 
-# Every engine as (pattern, text) -> (occurrences, stats), building what it
-# needs from the pattern.  The bodies look the engine functions up by name
-# at call time, so wrappers installed on the module attributes see them.
+# Every engine as (pattern, text[, make]) -> (occurrences, stats), building
+# what it needs from the pattern; make turns the engine's match runs into
+# its result (see ``core``; ``_occurrences`` by default).  The bodies look
+# the engine functions up by name at call time, so wrappers installed on
+# the module attributes see them.
 ENGINES = {
     "naive": _naive,
-    "mp": lambda pattern, text: mp_search(build_mp(pattern), text),
-    "forward": lambda pattern, text: forward_search(
-        build_forward(build_mp(pattern)), text),
-    "sublinear": lambda pattern, text: sublinear_search(pattern, text),
+    "mp": lambda pattern, text, make=_occurrences: mp_search(
+        build_mp(pattern), text, make),
+    "forward": lambda pattern, text, make=_occurrences: forward_search(
+        build_forward(build_mp(pattern)), text, make),
+    "sublinear": lambda pattern, text, make=_occurrences: sublinear_search(
+        pattern, text, make),
     "ac": _ac,
 }
 

@@ -15,8 +15,8 @@ from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from . import bench as bench_mod
-from .core import (InputError, SearchStats, check_fits, rep_table,
-                   validate_seq)
+from .core import (InputError, SearchStats, _start_id_lines, _start_lines,
+                   check_fits, rep_table, validate_seq)
 from .multi_ac import ac_search, build_ac, make_pattern_set
 from .sublinear import fallback_for
 
@@ -191,11 +191,11 @@ def cmd_search(args) -> int:
         check_fits(len(pattern), len(text))
     except InputError as exc:
         raise InputError(f"{args.pattern}: {exc} of {args.text}") from None
-    occ, stats = bench_mod.ENGINES[args.algo](pattern, text)
+    lines, stats = bench_mod.ENGINES[args.algo](pattern, text, _start_lines)
     if args.algo == "sublinear" and (ran := fallback_for(len(pattern))):
         print("sublinear: pattern too short for backward-window search; "
               f"falling back to {ran}", file=sys.stderr)
-    _write_lines((f"{o.position}\n" for o in occ), sys.stdout)
+    _write_lines(lines, sys.stdout)
     if args.stats:
         _print_stats(stats, sys.stdout)
     return EX_OK
@@ -204,8 +204,8 @@ def cmd_search(args) -> int:
 def cmd_multisearch(args) -> int:
     patterns = make_pattern_set(_read_pattern_lines(args.patterns))
     text = _read_text_values(args.text)
-    occ, stats = ac_search(build_ac(patterns), text)
-    _write_lines((f"{o.position}\t{o.pattern_id + 1}\n" for o in occ), sys.stdout)
+    lines, stats = ac_search(build_ac(patterns), text, _start_id_lines)
+    _write_lines(lines, sys.stdout)
     if args.stats:
         _print_stats(stats, sys.stdout)
     return EX_OK

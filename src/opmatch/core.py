@@ -12,10 +12,14 @@ slow-but-obviously-correct scan that every search engine is tested against.
 It also owns both edges of every engine.  A pattern enters only through
 ``rep_table``, which makes every value a Python int.  Every engine notes
 the 0-based end index of each match while it scans and hands these ends,
-in runs ``(ends, m, pattern_id)``, to ``_occurrences`` once the scan ends;
-it alone turns an end into a 1-based start, and it makes the
-``Occurrence`` list at C speed with the cyclic garbage collector paused,
-so no Python code runs per match and no collection scans the new objects.
+in runs ``(ends, m, pattern_id)``, to a maker once the scan ends, and only
+the makers here turn an end into a 1-based start.  An engine's optional
+``make`` argument names its maker.  The default, ``_occurrences``, makes
+the ``Occurrence`` list at C speed with the cyclic garbage collector
+paused, so no Python code runs per match and no collection scans the new
+objects.  The CLI passes ``_start_lines`` (``opmatch search``) or
+``_start_id_lines`` (``opmatch multisearch``), which turn the same runs
+into output lines without making an ``Occurrence``.
 
 All positions in public contracts are 1-based.  Sentinel "no predecessor" /
 "no successor" is represented as ``None``, never as a magic integer.
@@ -27,8 +31,8 @@ import gc
 import threading
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import add, index
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from operator import add, index, mul
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
 class InputError(ValueError):
@@ -98,6 +102,34 @@ def _occurrences(runs: Iterable[tuple]) -> list:
             _gc_depth -= 1
             if _gc_depth == 0 and _gc_was_enabled:
                 gc.enable()
+
+
+def _start_lines(runs: Iterable[tuple]) -> Iterator[str]:
+    """One output line per match end of the runs: its start and a line break.
+
+    The runs are those of ``_occurrences`` and keep its order, so one
+    pattern's lines are in the order of its ends.  The ends become starts
+    at C speed; each line is made only when it is read.
+    """
+    return (f"{s}\n" for s in chain.from_iterable(
+        map(add, ends, repeat(2 - m)) for ends, m, _ in runs))
+
+
+def _start_id_lines(runs: Iterable[tuple]) -> Iterator[str]:
+    """One output line per match end: its start, a tab, its 1-based id.
+
+    Each match becomes one int key, ``start * r + pattern_id + 1`` with r
+    above every ``pattern_id + 1``, so one sort of the keys orders the
+    matches by start and then by id, as ``ac_search`` sorts its
+    occurrences; ``divmod`` gives the start and the 1-based id back.
+    The keys are made and sorted at once, each line only when it is read.
+    """
+    runs = list(runs)
+    r = 2 + max((pid for _, _, pid in runs), default=0)
+    keys = sorted(chain.from_iterable(
+        map(add, map(mul, ends, repeat(r)), repeat((2 - m) * r + pid + 1))
+        for ends, m, pid in runs))
+    return (f"{s}\t{k}\n" for s, k in map(divmod, keys, repeat(r)))
 
 
 @dataclass
@@ -257,12 +289,13 @@ def scan_alignments(p: Pattern, t: Sequence[int], first: int, last: int):
 
 
 def naive_search(p: PatternLike, t: Sequence[int],
-                 stats: Optional[SearchStats] = None) -> list:
+                 stats: Optional[SearchStats] = None, make=_occurrences):
     """All occurrences of p in t by direct per-alignment verification.
 
     This is the oracle the automaton engines are compared against.  The
     text is assumed validated (pairwise distinct); pass a SearchStats to
-    accumulate the number of symbols inspected.
+    accumulate the number of symbols inspected.  The result is
+    ``make([(ends, m, 0)])``, the occurrence list by default.
     """
     pat = rep_table(p)
     m = len(pat)
@@ -271,4 +304,4 @@ def naive_search(p: PatternLike, t: Sequence[int],
     ends, reads = scan_alignments(pat, t, 1, n - m + 1)
     if stats is not None:
         stats.symbols_read += reads
-    return _occurrences([(ends, m, 0)])
+    return make([(ends, m, 0)])

@@ -144,7 +144,7 @@ def build_forward(a: MpAutomaton) -> ForwardAutomaton:
     return ForwardAutomaton(pat, fail, tuple(drop), ops)
 
 
-def forward_search(f: ForwardAutomaton, t: Sequence[int]):
+def forward_search(f: ForwardAutomaton, t: Sequence[int], make=_occurrences):
     """All occurrences of the automaton's pattern in t, with statistics.
 
     Each symbol first tries the forward transition, then the moves of the
@@ -157,7 +157,7 @@ def forward_search(f: ForwardAutomaton, t: Sequence[int]):
     transitions_taken counts every interval test and never exceeds 2n:
     every symbol takes one forward test, counted up front as n, and the
     loop counts the backward tests.  As in ``mp_search``, the loop notes
-    0-based match ends and the occurrences are made after the scan.
+    0-based match ends and ``make`` makes the result after the scan.
     """
     m = len(f.pattern)
     n = len(t)
@@ -198,4 +198,4 @@ def forward_search(f: ForwardAutomaton, t: Sequence[int]):
                     break
         else:  # pragma: no cover - hulls cover every non-forward class
             raise AssertionError("no transition accepted a distinct symbol")
-    return _occurrences([(ends, m, 0)]), SearchStats(symbols_read=n, transitions_taken=trans)
+    return make([(ends, m, 0)]), SearchStats(symbols_read=n, transitions_taken=trans)

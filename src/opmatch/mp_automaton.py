@@ -64,7 +64,7 @@ def build_mp(p: PatternLike) -> MpAutomaton:
     return MpAutomaton(pat, tuple(fail), ops)
 
 
-def mp_search(a: MpAutomaton, t: Sequence[int]):
+def mp_search(a: MpAutomaton, t: Sequence[int], make=_occurrences):
     """All occurrences of the automaton's pattern in t, with statistics.
 
     At state x reading t[i], the forward test compares t[i] against
@@ -77,8 +77,9 @@ def mp_search(a: MpAutomaton, t: Sequence[int]):
     one follows a failed test, every symbol ends with one passing test
     (state 0 always extends) and every match takes one step to the border,
     so transitions_taken = n + 2 * failure steps + matches.
-    The loop notes each match's 0-based end index, and ``_occurrences``
-    makes the occurrences from them after the scan.
+    The loop notes each match's 0-based end index, and ``make`` (the
+    core's ``_occurrences`` by default) makes the result from the run
+    ``(ends, m, 0)`` after the scan.
     """
     m = len(a.pattern)
     n = len(t)
@@ -100,4 +101,4 @@ def mp_search(a: MpAutomaton, t: Sequence[int]):
             ends.append(i0)
             x = fail[m]
     trans = n + 2 * fails + len(ends)
-    return _occurrences([(ends, m, 0)]), SearchStats(symbols_read=n, transitions_taken=trans)
+    return make([(ends, m, 0)]), SearchStats(symbols_read=n, transitions_taken=trans)

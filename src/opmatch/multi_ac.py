@@ -202,16 +202,24 @@ def _scan(node: AcNode, t: Sequence[int], lo: int, hi: int, hits):
     return node, fails, hops
 
 
-def ac_search(a: AcAutomaton, t: Sequence[int]):
+def _sorted_occurrences(runs) -> list:
+    """The runs' occurrences (``_occurrences``), sorted by position, then id."""
+    out = _occurrences(runs)
+    out.sort()
+    return out
+
+
+def ac_search(a: AcAutomaton, t: Sequence[int], make=_sorted_occurrences):
     """All (position, pattern_id) occurrences, sorted, with statistics.
 
     t must hold pairwise-distinct values (see ``validate_seq``); a repeated
     value gives undefined results.  Output ids cover every order-isomorphic
     duplicate of a matched pattern.  One ``_scan`` reads the whole text and
     notes, per node with outputs, the end indexes at which it was reached;
-    each (node, pattern id) pair hands these ends to ``_occurrences`` as
-    one run, all runs become occurrences in one C-level pass, and one sort
-    merges them.
+    each (node, pattern id) pair hands these ends to ``make`` as one run
+    ``(ends, m, pattern_id)``.  By default all runs become occurrences in
+    one C-level pass, and one sort merges them; a ``make`` that is passed
+    must order the matches itself.
     transitions_taken counts child lookups, failure steps and the hops off
     nodes without children, as ``mp_search`` does on one pattern: it is
     n + 2 * failure steps + hops, with the hop off the node reached by the
@@ -222,8 +230,7 @@ def ac_search(a: AcAutomaton, t: Sequence[int]):
     node, fails, hops = _scan(a.root, t, 0, len(t), hits)
     if node.after is not node:
         hops += 1
-    out = _occurrences((ends, lengths[pid], pid)
-                       for ends, pids in zip(hits, a.hit_outputs) if ends for pid in pids)
-    out.sort()
+    out = make((ends, lengths[pid], pid)
+               for ends, pids in zip(hits, a.hit_outputs) if ends for pid in pids)
     trans = len(t) + 2 * fails + hops
     return out, SearchStats(symbols_read=len(t), transitions_taken=trans)

@@ -85,13 +85,14 @@ def build_factor_tree(p: PatternLike, b: int) -> tuple:
     return tuple(levels)
 
 
-def sublinear_search(p: PatternLike, t: Sequence[int]):
+def sublinear_search(p: PatternLike, t: Sequence[int], make=_occurrences):
     """All occurrences of p in t, with statistics, for every m.
 
     Below m = 16 it runs ``fallback_for``'s pick: ``mp_search`` or the
     up/down filter, counting as they do.  From m = 16 on, symbols_read
     counts index reads plus verification reads, and verifications counts
-    naive per-start checks.
+    naive per-start checks.  Every path hands its match ends to ``make``
+    as in ``mp_search``.
     """
     pat = rep_table(p)
     m = len(pat)
@@ -99,7 +100,8 @@ def sublinear_search(p: PatternLike, t: Sequence[int]):
     check_fits(m, n)
     ran = fallback_for(m)
     if ran is not None:
-        return mp_search(build_mp(pat), t) if ran == "mp" else _filter_search(pat, t)
+        return (mp_search(build_mp(pat), t, make) if ran == "mp"
+                else _filter_search(pat, t, make))
     b = choose_b(m)
     shift = m - b + 1
     levels = build_factor_tree(pat, b)
@@ -132,13 +134,13 @@ def sublinear_search(p: PatternLike, t: Sequence[int]):
             verifications += hi - lo + 1
         e += shift
     stats = SearchStats(symbols_read=reads, verifications=verifications)
-    return _occurrences([(ends, m, 0)]), stats
+    return make([(ends, m, 0)]), stats
 
 
 FILTER_MIN_M = 6  # random text, filter over mp: m=5 1.0-1.4x, m=6 1.3-1.8x (CHANGES.md)
 
 
-def _filter_search(pat: Pattern, t: Sequence[int]):
+def _filter_search(pat: Pattern, t: Sequence[int], make):
     """All occurrences of pat in t: up/down-code filter, MP verification.
 
     A candidate is a start s where the text's up/down code holds the
@@ -193,7 +195,7 @@ def _filter_search(pat: Pattern, t: Sequence[int]):
         s = nxt
     trans = reads + 2 * fails + len(ends)
     stats = SearchStats(symbols_read=reads, transitions_taken=trans, verifications=runs)
-    return _occurrences([(ends, m, 0)]), stats
+    return make([(ends, m, 0)]), stats
 
 
 def fallback_for(m: int) -> Optional[str]:

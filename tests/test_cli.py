@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import argparse
 import random
+import sys
 import tracemalloc
 
 import pytest
 
-from opmatch import cli
+from opmatch import (cli, core, forward_automaton, mp_automaton, multi_ac,
+                     sublinear)
 from opmatch.bench import ENGINES, random_permutation
 from opmatch.cli import (EX_DATA, EX_IOERR, EX_OK, EX_USAGE, OUTPUT_BLOCK,
                          _read_text_values, _read_tokens, build_parser, main)
@@ -244,7 +246,10 @@ class TestMultisearch:
         # on an ascending text every ascending pattern matches at every
         # start, so up to four patterns end at each position; the output
         # must still be sorted by position, then by 1-based id
-        seqs = [[2, 4, 6, 8, 10], [5, 4, 3, 2, 1], [1, 2], [10, 20, 30], [1, 2, 3]]
+        # [20, 40, 60, 80, 100] is an order-isomorphic scaled duplicate of
+        # the first pattern, and the last is longer than the text
+        seqs = [[2, 4, 6, 8, 10], [5, 4, 3, 2, 1], [1, 2], [10, 20, 30], [1, 2, 3],
+                [20, 40, 60, 80, 100], list(range(1, 42))]
         text = list(range(1, 41))
         pats = write(tmp_path / "pats.txt",
                      "".join(" ".join(map(str, p)) + "\n" for p in seqs))
@@ -305,18 +310,84 @@ def test_non_ascii_input_is_data_error(tmp_path, capsys):
 
 
 def test_output_spanning_blocks_keeps_line_format_and_stats_last(tmp_path, capsys):
-    # an ascending text matches "1 2" at every start: more than two blocks
+    # an ascending text matches "1 2" at every start: more than two blocks;
+    # with two such patterns both ids of a start are printed in order, also
+    # where the start's two lines fall into different blocks
     n = 2 * OUTPUT_BLOCK + 5
     p = write(tmp_path / "p.txt", "1 2\n")
+    p2 = write(tmp_path / "p2.txt", "1 2\n10 20\n")
     t = write(tmp_path / "t.txt", "\n".join(map(str, range(1, n + 1))) + "\n")
-    for argv, line in ((("search", "--stats", p, t), "{}\n"),
-                       (("multisearch", "--stats", p, t), "{}\t1\n")):
+    for argv, line in ((("search", "--stats", p, t), "{0}\n"),
+                       (("multisearch", "--stats", p, t), "{0}\t1\n"),
+                       (("multisearch", "--stats", p2, t), "{0}\t1\n{0}\t2\n")):
         code, out, _ = run(capsys, *argv)
         assert code == EX_OK
         lines = "".join(line.format(i) for i in range(1, n))
         assert out.startswith(lines)
         trailer = out[len(lines):]
         assert trailer.startswith("# stats: symbols_read=") and trailer.count("\n") == 1
+
+
+def test_commands_print_without_making_occurrences(tmp_path, capsys, monkeypatch):
+    # search and multisearch print from the engines' match ends: with
+    # Occurrence no tuple subclass, tuple.__new__ raises in any
+    # _occurrences call, yet every command must print what it printed
+    # before; m = 3, 8 and 20 take sublinear's mp, filter and factor-index
+    # paths, and the zig-zag text matches every other start
+    n = 300
+    text = [v for i in range(1, n // 2 + 1) for v in (2 * i + 1000, 2 * i)]
+    t = write(tmp_path / "t.txt", " ".join(map(str, text)) + "\n")
+    pats = []
+    for m in (3, 8, 20):
+        shape = [v for i in range(1, m // 2 + 2) for v in (2 * i + 100, 2 * i)][:m]
+        pats.append(write(tmp_path / f"p{m}.txt", " ".join(map(str, shape)) + "\n"))
+    dictionary = write(tmp_path / "pats.txt", "2 1\n1 2 3\n4 1\n30 10 20 5\n")
+    argvs = [("search", "--stats", "--algo", algo, p, t)
+             for algo in ENGINES for p in pats]
+    argvs.append(("multisearch", "--stats", dictionary, t))
+    want = [run(capsys, *argv) for argv in argvs]
+    assert all(code == EX_OK and out.count("\n") > 10 for code, out, _ in want)
+    monkeypatch.setattr(core, "Occurrence", object)
+    with pytest.raises(TypeError):
+        core._occurrences([([0], 1, 0)])  # the patch is seen
+    assert [run(capsys, *argv) for argv in argvs] == want
+
+
+def test_commands_call_the_traced_engine_functions(tmp_path, capsys, monkeypatch):
+    # the benchmark's traced command run times each engine by wrapping its
+    # module attribute wherever an opmatch module binds it; the commands
+    # must reach the engines through those names, once per command
+    targets = ((mp_automaton, "mp_search"), (forward_automaton, "forward_search"),
+               (sublinear, "sublinear_search"), (multi_ac, "ac_search"))
+    counts = {name: 0 for _, name in targets}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in targets:
+        original = getattr(module, name)
+        wrapper = counting(name, original)
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").split(".")[0] == "opmatch":
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    # m = 20: sublinear uses its factor index and calls no other engine
+    p = write(tmp_path / "p.txt", " ".join(map(str, range(1, 21))) + "\n")
+    pats = write(tmp_path / "pats.txt", "1 2\n2 1\n")
+    t = write(tmp_path / "t.txt", " ".join(map(str, range(1, 41))) + "\n")
+    cases = [(("search", "--algo", algo, p, t), engine) for algo, engine in
+             (("naive", None), ("mp", "mp_search"), ("forward", "forward_search"),
+              ("sublinear", "sublinear_search"), ("ac", "ac_search"))]
+    cases.append((("multisearch", pats, t), "ac_search"))
+    for argv, engine in cases:
+        counts.update(dict.fromkeys(counts, 0))
+        code, out, _ = run(capsys, *argv)
+        assert code == EX_OK and out.count("\n") >= 20, argv
+        assert counts == {name: int(name == engine) for name in counts}, argv
 
 
 class TestBench:
