@@ -55,8 +55,6 @@ def _naive(pattern, text, make=_occurrences):
 def _ac(pattern, text, make=_occurrences):
     # ac_search alone accepts a text shorter than its patterns; validate the
     # pattern first so a bad one raises the same error as in the other engines.
-    # Only the one pattern's own node has outputs, so its matches are one
-    # run in order and need not be sorted.
     pattern = rep_table(pattern)
     check_fits(len(pattern), len(text))
     return ac_search(build_ac((pattern,)), text, make)

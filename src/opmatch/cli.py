@@ -91,13 +91,9 @@ def _cut(buf: str) -> int:
     return end + 1
 
 
-def _parse_into(piece: str, values: list, seen: set) -> None:
+def _parse_into(path: str, piece: str, values: list, seen: set) -> None:
     """Append the piece's integers to values and to seen."""
-    if "#" in piece:
-        piece = _COMMENT.sub("", piece)
-    if "_" in piece or "+" in piece:
-        raise ValueError("not a decimal integer")
-    new = list(map(int, piece.split()))
+    new = list(map(int, _decimal_body(path, piece).split()))
     values += new
     seen.update(new)
 
@@ -120,9 +116,9 @@ def _read_text_values(path: str) -> list:
                 buf = carry + chunk
                 cut = _cut(buf)
                 carry = buf[cut:]
-                _parse_into(buf[:cut], values, seen)
-            _parse_into(carry, values, seen)
-    except ValueError:  # UnicodeDecodeError, int() or _parse_into
+                _parse_into(path, buf[:cut], values, seen)
+            _parse_into(path, carry, values, seen)
+    except ValueError:  # UnicodeDecodeError, int() or _decimal_body
         pass
     else:
         if len(seen) == len(values):

@@ -13,13 +13,16 @@ It also owns both edges of every engine.  A pattern enters only through
 ``rep_table``, which makes every value a Python int.  Every engine notes
 the 0-based end index of each match while it scans and hands these ends,
 in runs ``(ends, m, pattern_id)``, to a maker once the scan ends, and only
-the makers here turn an end into a 1-based start.  An engine's optional
-``make`` argument names its maker.  The default, ``_occurrences``, makes
-the ``Occurrence`` list at C speed with the cyclic garbage collector
-paused, so no Python code runs per match and no collection scans the new
-objects.  The CLI passes ``_start_lines`` (``opmatch search``) or
-``_start_id_lines`` (``opmatch multisearch``), which turn the same runs
-into output lines without making an ``Occurrence``.
+the makers here turn an end into a 1-based start.  Each run's ends are in
+scan order, and every maker here gives the matches by position, then
+pattern id, so one run needs no sort and several are sorted once.  An
+engine's optional ``make`` argument names its maker.  The default of
+every engine, ``_occurrences``, makes the ``Occurrence`` list at C speed
+with the cyclic garbage collector paused, so no Python code runs per
+match and no collection scans the new objects.  The CLI passes
+``_start_lines`` (``opmatch search``, one run) or ``_start_id_lines``
+(``opmatch multisearch``), which turn the same runs into output lines
+without making an ``Occurrence``.
 
 All positions in public contracts are 1-based.  Sentinel "no predecessor" /
 "no successor" is represented as ``None``, never as a magic integer.
@@ -72,12 +75,12 @@ _gc_was_enabled = False  # the collector's state when the first one began
 
 
 def _occurrences(runs: Iterable[tuple]) -> list:
-    """One ``Occurrence`` per match end of the runs, at C speed.
+    """One ``Occurrence`` per match end of the runs, by position, then id.
 
     A run ``(ends, m, pattern_id)`` holds the 0-based end indexes of the
-    matches of one length-m pattern; the match ending at i0 starts at the
-    1-based position i0 - m + 2.  The occurrences come run by run, each
-    run's in the order of its ends.
+    matches of one length-m pattern, in order; the match ending at i0
+    starts at the 1-based position i0 - m + 2.  One run comes back as its
+    ends come; several are sorted once, after the list is made.
     ``tuple.__new__`` fills each instance directly, skipping the Python
     ``Occurrence.__new__``.  ``Occurrence`` is a tuple subclass, which the
     cyclic garbage collector never untracks, so making 1e5 of them would
@@ -95,21 +98,25 @@ def _occurrences(runs: Iterable[tuple]) -> list:
             gc.disable()
         _gc_depth += 1
     try:
-        return list(map(tuple.__new__, repeat(Occurrence), chain.from_iterable(
+        runs = list(runs)
+        out = list(map(tuple.__new__, repeat(Occurrence), chain.from_iterable(
             zip(map(add, ends, repeat(2 - m)), repeat(pid)) for ends, m, pid in runs)))
     finally:
         with _gc_lock:
             _gc_depth -= 1
             if _gc_depth == 0 and _gc_was_enabled:
                 gc.enable()
+    if len(runs) > 1:
+        out.sort()
+    return out
 
 
 def _start_lines(runs: Iterable[tuple]) -> Iterator[str]:
-    """One output line per match end of the runs: its start and a line break.
+    """One output line per match end: its start and a line break.
 
-    The runs are those of ``_occurrences`` and keep its order, so one
-    pattern's lines are in the order of its ends.  The ends become starts
-    at C speed; each line is made only when it is read.
+    It is for single-pattern engines, whose one run is in order already.
+    The ends become starts at C speed; each line is made only when it is
+    read.
     """
     return (f"{s}\n" for s in chain.from_iterable(
         map(add, ends, repeat(2 - m)) for ends, m, _ in runs))
@@ -120,8 +127,8 @@ def _start_id_lines(runs: Iterable[tuple]) -> Iterator[str]:
 
     Each match becomes one int key, ``start * r + pattern_id + 1`` with r
     above every ``pattern_id + 1``, so one sort of the keys orders the
-    matches by start and then by id, as ``ac_search`` sorts its
-    occurrences; ``divmod`` gives the start and the 1-based id back.
+    matches by start and then by id; ``divmod`` gives the start and the
+    1-based id back.
     The keys are made and sorted at once, each line only when it is read.
     """
     runs = list(runs)

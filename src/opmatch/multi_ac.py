@@ -202,24 +202,15 @@ def _scan(node: AcNode, t: Sequence[int], lo: int, hi: int, hits):
     return node, fails, hops
 
 
-def _sorted_occurrences(runs) -> list:
-    """The runs' occurrences (``_occurrences``), sorted by position, then id."""
-    out = _occurrences(runs)
-    out.sort()
-    return out
-
-
-def ac_search(a: AcAutomaton, t: Sequence[int], make=_sorted_occurrences):
-    """All (position, pattern_id) occurrences, sorted, with statistics.
+def ac_search(a: AcAutomaton, t: Sequence[int], make=_occurrences):
+    """All (position, pattern_id) occurrences, with statistics.
 
     t must hold pairwise-distinct values (see ``validate_seq``); a repeated
     value gives undefined results.  Output ids cover every order-isomorphic
     duplicate of a matched pattern.  One ``_scan`` reads the whole text and
     notes, per node with outputs, the end indexes at which it was reached;
     each (node, pattern id) pair hands these ends to ``make`` as one run
-    ``(ends, m, pattern_id)``.  By default all runs become occurrences in
-    one C-level pass, and one sort merges them; a ``make`` that is passed
-    must order the matches itself.
+    ``(ends, m, pattern_id)``; the maker orders the matches (see ``core``).
     transitions_taken counts child lookups, failure steps and the hops off
     nodes without children, as ``mp_search`` does on one pattern: it is
     n + 2 * failure steps + hops, with the hop off the node reached by the

@@ -7,6 +7,7 @@ import ast
 import dataclasses
 import gc
 import importlib
+import inspect
 import pkgutil
 import random
 import re
@@ -21,6 +22,10 @@ import opmatch
 from opmatch.core import (DuplicateValue, EmptyInput, Occurrence, Pattern,
                           SearchStats, _occurrences, naive_search,
                           rank_normalize, rep_table, validate_seq)
+from opmatch.forward_automaton import forward_search
+from opmatch.mp_automaton import mp_search
+from opmatch.multi_ac import ac_search
+from opmatch.sublinear import sublinear_search
 
 from conftest import (oi_border_table, oracle_border_table, oracle_oi,
                       oracle_positions, oracle_ranks, oracle_rep_pairs,
@@ -205,10 +210,19 @@ class TestOccurrences:
         # a run (ends, m, pattern_id): the match ending at 0-based index i0
         # starts at the 1-based position i0 - m + 2
         occ = _occurrences([([4, 2, 8], 3, 2), ([], 5, 1), ((0,), 1, 0)])
-        assert occ == [(3, 2), (1, 2), (7, 2), (1, 0)]
+        assert occ == [(1, 0), (1, 2), (3, 2), (7, 2)]
         assert all(type(o) is Occurrence for o in occ)
+        # runs out of order, and position 7 matched under ids 2 and 1
+        occ = _occurrences([([7], 2, 2), ([3, 6], 2, 0), ([9], 4, 1)])
+        assert occ == [(3, 0), (6, 0), (7, 1), (7, 2)]
         assert _occurrences(iter([(iter([5]), 2, 0)])) == [Occurrence(5, 0)]
         assert _occurrences([]) == []
+
+    def test_every_engine_makes_occurrences_by_default(self):
+        for engine in (naive_search, mp_search, forward_search,
+                       sublinear_search, ac_search):
+            make = inspect.signature(engine).parameters["make"].default
+            assert make is _occurrences, engine.__name__
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_state_restored(self, enabled):

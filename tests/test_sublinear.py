@@ -13,7 +13,7 @@ from opmatch.sublinear import (build_factor_tree, choose_b, search_or_fallback,
                                sublinear_search)
 
 from conftest import (converging_zigzag, oracle_insertion_ranks, oracle_oi,
-                      plant_copies, positions, random_distinct)
+                      oracle_ranks, plant_copies, positions, random_distinct)
 
 
 def match_depth(levels, symbols):
@@ -146,6 +146,39 @@ class TestFactorTree:
                 assert accepted == any(oracle_oi(w, f) for f in factors)
 
 
+def filter_runs(values, t):
+    """How many MP runs the up/down filter makes, from its hand-off rule.
+
+    A run starts at a candidate, a start where the text's up/down code
+    holds the pattern's.  MP's state after symbol i0 is the length of the
+    longest suffix of the run's symbols up to i0 that is order-isomorphic
+    to a proper prefix of the pattern.  Once it is 1 after a symbol past the last
+    candidate the run reached, the run reads on if i0 is a candidate and
+    otherwise stops, and the next run starts at the next candidate.
+    """
+    def code(seq):
+        return bytes(a < b for a, b in zip(seq, seq[1:]))
+
+    m = len(values)
+    pcode, tcode = code(values), code(t)
+    runs = 0
+    s = tcode.find(pcode)
+    while s >= 0:
+        runs += 1
+        nxt = s
+        for i0 in range(s, len(t)):
+            state = max(k for k in range(1, m) if i0 - k + 1 >= s
+                        and oracle_oi(t[i0 - k + 1:i0 + 1], values[:k]))
+            if state == 1 and nxt < i0:
+                nxt = tcode.find(pcode, i0)
+                if nxt != i0:
+                    break
+        else:
+            nxt = -1
+        s = nxt
+    return runs
+
+
 class TestSublinearSearch:
     def test_pattern_is_text(self):
         # a single window, recognized, verifying exactly one start
@@ -180,6 +213,27 @@ class TestSublinearSearch:
         assert fell_back
         assert positions(occ) == positions(naive_search([4, 12, 6, 16, 10], t))
         assert stats.symbols_read == len(t)  # below the filter's m = 6, mp reads all
+
+    def test_each_regime_edge_runs_its_runner(self):
+        # mp up to m = 5, the up/down filter from FILTER_MIN_M = 6 to 15,
+        # the factor index from m = 16, on one text holding copies of all
+        rng = random.Random(67)
+        patterns = {m: random_permutation(m, 80 + m) for m in (5, 6, 15, 16)}
+        t = random_permutation(3000, 81)
+        for p in patterns.values():
+            t = oracle_ranks(plant_copies(rng, p, t))
+        n = len(t)
+        for m, p in patterns.items():
+            occ, stats = sublinear_search(p, t)
+            want = naive_search(p, t)
+            assert want and occ == want, m
+            if m == 5:
+                assert stats.symbols_read == n and stats.verifications == 0
+            elif m < 16:
+                assert stats.verifications == filter_runs(p, t) >= 1, m
+                assert stats.symbols_read < n, m
+            else:
+                assert stats.transitions_taken == 0
 
     def test_filter_reads_nothing_without_candidates(self):
         # a near-miss pattern (seven rises, then a fall) has no candidate in
