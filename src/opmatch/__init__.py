@@ -14,17 +14,14 @@ from .core import (DuplicateValue, EmptyInput, InputError, Occurrence,
                    naive_search, rank_normalize, rep_table, validate_seq)
 from .mp_automaton import MpAutomaton, build_mp, mp_search
 from .forward_automaton import ForwardAutomaton, build_forward, forward_search
-from .multi_ac import AcAutomaton, AcNode, ac_search, build_ac, make_pattern_set
-from .sublinear import (build_factor_tree, choose_b, search_or_fallback,
-                        sublinear_search)
-from .bench import random_permutation
+from .multi_ac import AcAutomaton, ac_search, build_ac, make_pattern_set
+from .sublinear import build_factor_tree, choose_b, sublinear_search
 
 __all__ = [
-    "AcAutomaton", "AcNode", "DuplicateValue", "EmptyInput",
-    "ForwardAutomaton", "InputError", "MpAutomaton", "Occurrence", "Pattern",
+    "AcAutomaton", "DuplicateValue", "EmptyInput", "ForwardAutomaton",
+    "InputError", "MpAutomaton", "Occurrence", "Pattern",
     "PatternLongerThanText", "SearchStats", "ac_search", "build_ac",
     "build_factor_tree", "build_forward", "build_mp", "choose_b",
     "forward_search", "make_pattern_set", "mp_search", "naive_search",
-    "random_permutation", "rank_normalize", "rep_table", "search_or_fallback",
-    "sublinear_search", "validate_seq",
+    "rank_normalize", "rep_table", "sublinear_search", "validate_seq",
 ]

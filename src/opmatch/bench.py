@@ -1,10 +1,11 @@
 """The engine table and seeded random permutations.
 
 ``ENGINES`` gives every engine one signature; ``opmatch search`` and
-``opmatch bench`` dispatch through it.  Random permutations come from a Fisher-Yates shuffle driven by CPython's
-Mersenne Twister through ``random.Random(seed).getrandbits`` with rejection
-sampling, which produces identical sequences for identical (n, seed) on
-every platform.
+``opmatch bench`` dispatch through it.  ``random_permutation`` is
+``random.Random(seed).shuffle`` of 1..n: CPython's shuffle is a
+Fisher-Yates pass over its Mersenne Twister, drawing each index with
+``getrandbits`` and rejection sampling, so identical (n, seed) give
+identical sequences on every platform.
 """
 
 from __future__ import annotations
@@ -21,14 +22,6 @@ from .sublinear import sublinear_search
 PRNG_NOTE = "mt19937(random.Random.getrandbits)+fisher-yates+rejection"
 
 
-def _randbelow(rng: random.Random, k: int) -> int:
-    bits = k.bit_length()
-    v = rng.getrandbits(bits)
-    while v >= k:
-        v = rng.getrandbits(bits)
-    return v
-
-
 def random_permutation(n: int, seed: int) -> tuple:
     """Uniform permutation of 1..n, deterministic for (n, seed).
 
@@ -39,11 +32,8 @@ def random_permutation(n: int, seed: int) -> tuple:
         raise ValueError(f"n must be >= 1, got {n}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    rng = random.Random(seed)
     a = list(range(1, n + 1))
-    for i in range(n - 1, 0, -1):
-        j = _randbelow(rng, i + 1)
-        a[i], a[j] = a[j], a[i]
+    random.Random(seed).shuffle(a)
     return tuple(a)
 
 

@@ -209,15 +209,12 @@ def rank_normalize(s: Sequence[int]) -> tuple:
     """Replace each value by its rank (1 = smallest) within the sequence.
 
     This is the paper's normal form of a sequence; no engine needs it, as
-    they compare values only.  A repeated value has no rank: it raises
-    DuplicateValue at the first two positions of the smallest such value.
+    they compare values only.  A repeated value has no rank: the sequence
+    goes through ``validate_seq`` first, which raises DuplicateValue at the
+    first value that repeats an earlier one, as every entry point does.
     """
-    order = sorted(s)
-    rank = {v: i for i, v in enumerate(order, 1)}
-    if len(rank) < len(s):
-        v = next(a for a, b in zip(order, order[1:]) if a == b)
-        first = s.index(v)
-        raise DuplicateValue(first + 1, s.index(v, first + 1) + 1, v)
+    s = validate_seq(s)
+    rank = {v: i for i, v in enumerate(sorted(s), 1)}
     return tuple(map(rank.__getitem__, s))
 
 

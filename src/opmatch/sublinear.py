@@ -88,21 +88,21 @@ def build_factor_tree(p: PatternLike, b: int) -> tuple:
 def sublinear_search(p: PatternLike, t: Sequence[int], make=_occurrences):
     """All occurrences of p in t, with statistics, for every m.
 
-    Below m = 16 it runs ``fallback_for``'s pick: ``mp_search`` or the
-    up/down filter, counting as they do.  From m = 16 on, symbols_read
-    counts index reads plus verification reads, and verifications counts
-    naive per-start checks.  Every path hands its match ends to ``make``
-    as in ``mp_search``.
+    Below m = 16, where ``choose_b`` gives no read length, it runs
+    ``mp_search`` for m < ``FILTER_MIN_M`` and the up/down filter from
+    there, counting as they do (``fallback_for`` names the pick).  From
+    m = 16 on, symbols_read counts index reads plus verification reads,
+    and verifications counts naive per-start checks.  Every path hands its
+    match ends to ``make`` as in ``mp_search``.
     """
     pat = rep_table(p)
     m = len(pat)
     n = len(t)
     check_fits(m, n)
-    ran = fallback_for(m)
-    if ran is not None:
-        return (mp_search(build_mp(pat), t, make) if ran == "mp"
-                else _filter_search(pat, t, make))
     b = choose_b(m)
+    if b is None:
+        return (mp_search(build_mp(pat), t, make) if m < FILTER_MIN_M
+                else _filter_search(pat, t, make))
     shift = m - b + 1
     levels = build_factor_tree(pat, b)
     # Level 0 holds only code 0, so the first read always passes; the read

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from opmatch.bench import ENGINES, random_permutation
@@ -44,6 +46,17 @@ class TestRandomPermutation:
         # the determinism contract broke
         assert random_permutation(5, 1) == (3, 4, 5, 1, 2)
         assert random_permutation(5, 2) == (3, 2, 4, 5, 1)
+
+    @pytest.mark.parametrize("n, seed, digest", [
+        (4097, 2026, "191df63e22af6d8984680e027f628e755a104a5011b1ce9bfc8b9e72cd209a51"),
+        (65536, 10**12, "f8fae7b0faf097f0b64c9d37fc1e04d27479823b023b8bd69258fc2d3aa1a1d4"),
+    ])
+    def test_golden_digests(self, n, seed, digest):
+        # the n = 5 goldens only draw below 8; these frozen outputs of the
+        # earlier hand-written Fisher-Yates loop draw up to 2**16, so any
+        # change in how indexes are drawn shows here
+        perm = ",".join(map(str, random_permutation(n, seed)))
+        assert hashlib.sha256(perm.encode()).hexdigest() == digest
 
     def test_large_output_is_permutation(self):
         n = 1_000_000

@@ -294,6 +294,14 @@ class TestMultisearch:
         assert code == EX_DATA and out == ""
         assert f"{pats}:2: duplicate value 3 at positions 1 and 3" in err
 
+    @pytest.mark.parametrize("body", ["# set\n  # none yet\n", ""])
+    def test_no_patterns_is_data_error(self, tmp_path, capsys, body):
+        pats = write(tmp_path / "pats.txt", body)
+        t = write(tmp_path / "t.txt", "3 1 4 2 5\n")
+        code, out, err = run(capsys, "multisearch", pats, t)
+        assert code == EX_DATA and out == ""
+        assert err == f"opmatch: {pats}: no patterns\n"
+
 
 def test_non_ascii_input_is_data_error(tmp_path, capsys):
     # a UTF-8 byte order mark in any input file a command reads

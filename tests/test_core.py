@@ -90,9 +90,10 @@ class TestRankNormalize:
         assert rank_normalize(once) == once
 
     def test_duplicates_rejected(self):
-        # the first two positions of the smallest repeated value
-        for values, indices in (((1, 2, 1), (1, 3)), ((9, 1, 9, 1), (2, 4)),
-                                ((1, 2, 2, 1), (1, 4))):
+        # validate_seq's rule: the first value that repeats an earlier one,
+        # and the position it repeats
+        for values, indices in (((1, 2, 1), (1, 3)), ((9, 1, 9, 1), (1, 3)),
+                                ((1, 2, 2, 1), (2, 3))):
             with pytest.raises(DuplicateValue) as exc:
                 rank_normalize(values)
             assert (exc.value.index_a, exc.value.index_b) == indices, values
@@ -322,6 +323,23 @@ REMOVED_NAMES = (
     "FallbackRequired", "PatternSet", "pattern_set", "BenchConfig", "BenchRecord",
     "run_bench", "write_csv", "CSV_HEADER", "csv_row",
 )
+
+
+def test_package_exports_exactly_the_engines_and_their_types():
+    # a new export is a deliberate edit of this list; AcNode,
+    # search_or_fallback and random_permutation stay in their modules
+    assert sorted(opmatch.__all__) == [
+        "AcAutomaton", "DuplicateValue", "EmptyInput", "ForwardAutomaton",
+        "InputError", "MpAutomaton", "Occurrence", "Pattern",
+        "PatternLongerThanText", "SearchStats", "ac_search", "build_ac",
+        "build_factor_tree", "build_forward", "build_mp", "choose_b",
+        "forward_search", "make_pattern_set", "mp_search", "naive_search",
+        "rank_normalize", "rep_table", "sublinear_search", "validate_seq",
+    ]
+    for module, name in (("multi_ac", "AcNode"), ("sublinear", "search_or_fallback"),
+                         ("bench", "random_permutation")):
+        assert name not in vars(opmatch)
+        assert callable(getattr(importlib.import_module(f"opmatch.{module}"), name))
 
 
 def test_public_names_resolve_and_removed_names_are_gone():

@@ -7,6 +7,8 @@ import random
 
 import pytest
 
+from opmatch.bench import random_permutation
+from opmatch.core import back_pairs
 from opmatch.predset import (KeyAbsent, KeyOutOfUniverse, KeyPresent, PredSet)
 
 
@@ -147,3 +149,29 @@ def test_randomized_equivalence_with_sorted_list():
             want_pred = None if j == 0 else (keys[j - 1], payload[keys[j - 1]])
             assert s.query_strict(y) == (want_pred, want_succ)
         assert len(s) == len(keys)
+
+
+def predset_rep_pairs(values):
+    """Rep pairs of a permutation of 1..m by one PredSet sweep, no sort.
+
+    Each value is its own rank, so the strict predecessor and successor
+    among the values inserted so far are the rep pair's two symbols.  This
+    is the sweep README's MP row times against ``back_pairs``.
+    """
+    s = PredSet(len(values))
+    back = []
+    for j, v in enumerate(values):
+        pred, succ = s.query_strict(v)
+        back.append((None if pred is None else j - pred[1],
+                     None if succ is None else j - succ[1]))
+        s.insert(v, j)
+    return back
+
+
+def test_sweep_gives_back_pairs():
+    rng = random.Random(21)
+    cases = [random_permutation(m, rng.getrandbits(30))
+             for m in (1, 2, 3, 63, 64, 65, 129, 2000)]
+    cases += [tuple(range(1, 200)), tuple(range(199, 0, -1))]
+    for values in cases:
+        assert predset_rep_pairs(values) == back_pairs(values), len(values)
