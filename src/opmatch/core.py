@@ -144,11 +144,20 @@ class SearchStats:
     """Instrumentation counters accumulated during one search.
 
     symbols_read counts text-symbol inspections and transitions_taken
-    automaton transition tests and failure steps.  verifications counts
-    the checks an engine makes beyond its automaton: the backward-window
-    search (m >= 16) counts one per start it verifies naively, and
-    ``sublinear_search``'s up/down filter (6 <= m < 16) one per MP run
-    started at a candidate; naive, mp, forward and ac leave it 0.  The
+    automaton transition tests and failure steps, in units that differ
+    by engine.  mp, the up/down filter's MP runs and ac count every test
+    and also every failure step (a step along a strong failure link), the
+    step to the border after a match and ac's hop off a node without
+    children, so each symbol costs at least 1 and a failed test 2.
+    forward counts interval tests only; its moves need no failure steps.
+    Compare forward with the others by tests: for mp they are
+    n + failure steps = (transitions_taken + n - matches) / 2.
+
+    verifications counts the checks an engine makes beyond its automaton:
+    the backward-window search (m >= 16) counts one per start it verifies
+    naively, and ``sublinear_search``'s up/down filter (6 <= m < 16) one
+    per MP run started at a candidate; naive, mp, forward and ac leave it
+    0.  The
     filter counts the symbols its MP runs read, at most n; the C-level
     up/down encoding of the text reads every symbol once more and is not
     counted.

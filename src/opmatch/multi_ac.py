@@ -17,13 +17,14 @@ stands for its own gap between adjacent prefix values, and the build also
 lists them sorted by gap, as the values of the first pattern through the
 node order them.  One step, ``_scan``, reads symbols in place:
 it tests a node's only child directly (``AcNode.one``), binary-searches
-the list of a node with several, and follows failure links on a miss.  A
-node without children has nothing to look up, so the step leaves it by
-its failure link (``AcNode.after``) before the next symbol.  The search
-runs the step once over the whole text, and each reader over one symbol
-of its own pattern per round, as the single-pattern builder does.  The
-search notes only the positions at which each node with outputs is
-reached, and expands them into occurrences afterwards.
+the list of a node with several, and follows strong failure links
+(``AcNode.skip``) on a miss.  A node without children has nothing to look
+up, so the step leaves it by its failure link (``AcNode.after``) before
+the next symbol.  The search runs the step once over the whole text, and
+each reader over one symbol of its own pattern per round, as the
+single-pattern builder does.  The search notes only the positions at
+which each node with outputs is reached, and expands them into
+occurrences afterwards.
 """
 
 from __future__ import annotations
@@ -35,11 +36,14 @@ from .core import (EmptyInput, PatternLike, SearchStats, _occurrences,
                    rep_table)
 
 
+_EMPTY_SET = "pattern set must contain at least one pattern"
+
+
 def make_pattern_set(seqs: Iterable[PatternLike]) -> tuple:
     """The patterns as a tuple of Patterns; ids are 0-based input order."""
     patterns = tuple(map(rep_table, seqs))
     if not patterns:
-        raise EmptyInput("pattern set must contain at least one pattern")
+        raise EmptyInput(_EMPTY_SET)
     return patterns
 
 
@@ -48,13 +52,16 @@ class AcNode:
 
     ``one`` is the only kid of a node with exactly one child, else None.
     ``after`` is the node the next symbol is read from: ``fail`` for a node
-    without children, the node itself otherwise.  ``hit`` numbers the nodes
-    with outputs (None for the rest), so that a search can note where it
-    reached each one.
+    without children, the node itself otherwise.  ``skip`` is the strong
+    failure link a miss follows.  With f = ``fail``, it is f's own ``skip``
+    when f is not the root and every child key of f is one of this node's,
+    since a symbol this node misses is then missed by f too; else it is f.
+    ``hit`` numbers the nodes with outputs (None for the rest), so that a
+    search can note where it reached each one.
     """
 
-    __slots__ = ("depth", "children", "kids", "one", "after", "fail", "outputs",
-                 "all_outputs", "hit")
+    __slots__ = ("depth", "children", "kids", "one", "after", "fail", "skip",
+                 "outputs", "all_outputs", "hit")
 
     def __init__(self, depth: int):
         self.depth = depth
@@ -63,6 +70,7 @@ class AcNode:
         self.one = None
         self.after = self
         self.fail = None
+        self.skip = None
         self.outputs: list = []
         self.all_outputs: tuple = ()
         self.hit = None
@@ -94,10 +102,14 @@ def build_ac(patterns: tuple) -> AcAutomaton:
     starts on a node without children (a pattern's end), which is left by
     its failure link without a lookup.  A reader of a single pattern never
     stands on the pattern's end and shares no node, so there the count is
-    ``build_mp``'s.
+    ``build_mp``'s, and along its path the strong links are ``build_mp``'s
+    too.  An empty tuple raises EmptyInput: a root without a child would
+    miss every symbol.
     """
+    if not patterns:
+        raise EmptyInput(_EMPTY_SET)
     root = AcNode(0)
-    root.fail = root
+    root.fail = root.skip = root
     nodes = [root]
     readers = []  # [path from the root, values, current node]
     for pid, p in enumerate(patterns):
@@ -136,6 +148,8 @@ def build_ac(patterns: tuple) -> AcAutomaton:
                     f, fails, hops = _scan(f, values, j - 1, j, None)
                     build_ops += 1 + 2 * fails + hops
                 v.fail = f
+                v.skip = (f.skip if f is not root
+                          and f.children.keys() <= v.children.keys() else f)
                 v.all_outputs = tuple(v.outputs) + f.all_outputs
                 if not v.children:
                     v.after = f
@@ -158,9 +172,9 @@ def _scan(node: AcNode, t: Sequence[int], lo: int, hi: int, hits):
     from ``node.after``, a hop when that is the failure link.  The lookup
     tests the only kid directly, or binary-searches node.kids (left if
     ``t[i0-d1] > c``, right if ``t[i0-d2] < c``, else that child); a miss
-    follows the failure link and looks again.  The root's one child takes
-    every symbol, so the loop ends.  Each symbol costs one lookup that
-    succeeds, and each failure step one that missed.  Every index i0 at
+    follows the strong failure link and looks again.  The root's one child
+    takes every symbol, so the loop ends.  Each symbol costs one lookup
+    that succeeds, and each failure step one that missed.  Every index i0 at
     which a node with a ``hit`` number is reached is appended to
     ``hits[node.hit]``; the build numbers nodes only after its readers are
     done, so they pass no list.
@@ -194,7 +208,7 @@ def _scan(node: AcNode, t: Sequence[int], lo: int, hi: int, hits):
                 if a < b:
                     node = child
                     break
-            node = node.fail
+            node = node.skip
             fails += 1
         k = node.hit
         if k is not None:
@@ -211,10 +225,10 @@ def ac_search(a: AcAutomaton, t: Sequence[int], make=_occurrences):
     notes, per node with outputs, the end indexes at which it was reached;
     each (node, pattern id) pair hands these ends to ``make`` as one run
     ``(ends, m, pattern_id)``; the maker orders the matches (see ``core``).
-    transitions_taken counts child lookups, failure steps and the hops off
-    nodes without children, as ``mp_search`` does on one pattern: it is
-    n + 2 * failure steps + hops, with the hop off the node reached by the
-    last symbol included.
+    transitions_taken counts child lookups, failure steps (along ``skip``)
+    and the hops off nodes without children, as ``mp_search`` does on one
+    pattern: it is n + 2 * failure steps + hops, with the hop off the node
+    reached by the last symbol included.
     """
     lengths = [len(p) for p in a.patterns]
     hits = [[] for _ in a.hit_outputs]

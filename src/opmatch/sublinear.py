@@ -145,11 +145,11 @@ def _filter_search(pat: Pattern, t: Sequence[int], make):
 
     A candidate is a start s where the text's up/down code holds the
     pattern's; ``bytes.find`` finds the next one at C speed.  From s, MP's
-    step (``mp_search``'s test and failure links) reads the text from
-    state 0.  Once its state is 1 after a symbol i0 other than the run's
-    first, every occurrence that starts before i0 is reported, so MP asks
-    ``find`` for the next candidate from i0: at i0 itself it reads on,
-    else it stops and the next run begins at the answer.  Runs are
+    step (``mp_search``'s test and strong failure links) reads the text
+    from state 0.  Once its state is 1 after a symbol i0 other than the
+    run's first, every occurrence that starts before i0 is reported, so
+    MP asks ``find`` for the next candidate from i0: at i0 itself it reads
+    on, else it stops and the next run begins at the answer.  Runs are
     disjoint, so MP reads every symbol at most once.
 
     symbols_read counts the symbols MP read, at most n; verifications
@@ -165,7 +165,7 @@ def _filter_search(pat: Pattern, t: Sequence[int], make):
     except TypeError:  # numpy's bools are no ints; truth would slow int texts by ~40%
         find = bytes(map(truth, map(lt, t, islice(t, 1, None)))).find
     back = pat.back
-    fail = build_mp(pat).fail
+    skip = build_mp(pat).skip
     ends = []
     reads = fails = runs = 0
     s = find(pcode)
@@ -179,12 +179,12 @@ def _filter_search(pat: Pattern, t: Sequence[int], make):
                 d1, d2 = back[x]
                 if (d1 is None or t[i0 - d1] < c) and (d2 is None or c < t[i0 - d2]):
                     break
-                x = fail[x]
+                x = skip[x]
                 fails += 1
             x += 1
             if x == m:
                 ends.append(i0)
-                x = fail[m]
+                x = skip[m]
             if x == 1 and nxt < i0:
                 nxt = find(pcode, i0)
                 if nxt != i0:

@@ -111,17 +111,64 @@ def oi_border_table(p):
     return tuple(fail)
 
 
+def strong_links(rep, fail):
+    """Strong failure links of an MP automaton, by their definition.
+
+    ``rep`` holds the 1-based rep pairs of ``pairs_by_insertion`` and
+    ``fail`` the failure links.  State x < m tests pattern symbol x+1, so
+    its pair, as distances back from the symbol read, is x+1 minus each
+    position.  The link of x is the first state on x's failure chain whose
+    distances differ from x's (state 0's pair is empty, so the walk stops
+    there at the latest); the link of m is fail[m].
+    """
+    def distances(x):
+        return tuple(None if pos is None else x + 1 - pos for pos in rep[x])
+
+    m = len(rep)
+    links = [0] * (m + 1)
+    for x in range(1, m):
+        q = fail[x]
+        while distances(q) == distances(x):
+            q = fail[q]
+        links[x] = q
+    links[m] = fail[m]
+    return links
+
+
+def mp_states(back, links, t):
+    """The state of an MP walk after every symbol of t.
+
+    The walk makes ``mp_search``'s test with the 0-based ``back`` pairs and
+    follows ``links`` (failure or strong failure links) after every failed
+    test and after every match.
+    """
+    m = len(back)
+    x = 0
+    for i, c in enumerate(t):
+        while True:
+            d1, d2 = back[x]
+            if (d1 is None or t[i - d1] < c) and (d2 is None or c < t[i - d2]):
+                break
+            x = links[x]
+        x += 1
+        if x == m:
+            x = links[m]
+        yield x
+
+
 def counted_mp(a, t):
     """Occurrence positions and transition count of an MP automaton's search.
 
-    Walks ``a``'s failure links with the pattern's 1-based rep pairs from
-    ``pairs_by_insertion`` and counts as it goes: one for every forward
+    Walks the pattern's strong failure links, derived by ``strong_links``
+    from ``a.fail`` and the pattern's 1-based rep pairs from
+    ``pairs_by_insertion``, and counts as it goes: one for every forward
     test, one for every failure step, and one for the step to the border
     after every match.  The count that ``mp_search`` derives must equal
     this one.
     """
     m = len(a.pattern)
     rep = pairs_by_insertion(a.pattern.values)
+    skip = strong_links(rep, a.fail)
     x = 0
     count = 0
     found = []
@@ -134,11 +181,11 @@ def counted_mp(a, t):
                     and (x2 is None or c < t[start + x2 - 1])):
                 x += 1
                 break
-            x = a.fail[x]
+            x = skip[x]
             count += 1  # failure step
         if x == m:
             found.append(i - m + 2)
-            x = a.fail[m]
+            x = skip[m]
             count += 1  # step to the border
     return found, count
 
@@ -179,18 +226,33 @@ def counted_forward(f, t):
     return found, count
 
 
+def ac_strong_link(node, root):
+    """The strong failure link of an AC trie node, by the subset rule.
+
+    Walks the node's failure chain from its failure link, passing every
+    node other than the root whose child keys are all child keys of the
+    node before it on the chain: a symbol that node misses, it misses too.
+    """
+    before, f = node, node.fail
+    while f is not root and f.children.keys() <= before.children.keys():
+        before, f = f, f.fail
+    return f
+
+
 def counted_ac(auto, t):
     """Sorted (position, pattern id) pairs and transition count of an AC search.
 
     Walks ``auto``'s trie, finding a node's child by a linear scan of its
-    ``kids`` and collecting outputs along its failure chain, and counts as
-    it goes: one for every child lookup, one for every failure step, and
-    one for the hop off a node without children after each symbol (the
-    last symbol included).  The count that ``ac_search`` derives must
-    equal this one.
+    ``kids``, stepping along strong failure links derived by
+    ``ac_strong_link`` from the trie's ``children`` and ``fail``, and
+    collecting outputs along its failure chain.  It counts as it goes: one
+    for every child lookup, one for every failure step, and one for the
+    hop off a node without children after each symbol (the last symbol
+    included).  The count that ``ac_search`` derives must equal this one.
     """
     lengths = [len(p) for p in auto.patterns]
-    node = auto.root
+    root = auto.root
+    node = root
     count = 0
     found = []
     for i, c in enumerate(t):
@@ -204,10 +266,10 @@ def counted_ac(auto, t):
             if nxt is not None:
                 node = nxt
                 break
-            node = node.fail
+            node = ac_strong_link(node, root)
             count += 1  # failure step
         out = node
-        while out is not auto.root:
+        while out is not root:
             found += [(i - lengths[pid] + 2, pid) for pid in out.outputs]
             out = out.fail
         if not node.kids:

@@ -356,6 +356,8 @@ def test_public_names_resolve_and_removed_names_are_gone():
         assert not any(name in ns for ns in namespaces), name
     # vars() does not list dataclass fields without defaults
     assert [f.name for f in dataclasses.fields(Pattern)] == ["values", "back"]
+    assert [f.name for f in dataclasses.fields(opmatch.MpAutomaton)] == [
+        "pattern", "fail", "skip", "build_ops"]
     assert [f.name for f in dataclasses.fields(opmatch.ForwardAutomaton)] == [
         "pattern", "fail", "drop", "build_ops"]
     assert [f.name for f in dataclasses.fields(opmatch.AcAutomaton)] == [

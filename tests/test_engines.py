@@ -20,8 +20,8 @@ from opmatch.multi_ac import ac_search, build_ac, make_pattern_set
 from opmatch.sublinear import build_factor_tree
 
 from conftest import (chain_shapes, converging_zigzag, counted_forward, counted_mp,
-                      plant_copies, positions, random_distinct, rank_patterns,
-                      shaped_texts, two_track_zigzag)
+                      mp_states, plant_copies, positions, random_distinct,
+                      rank_patterns, shaped_texts, two_track_zigzag)
 
 # The counters one search may reach, given the pattern and text lengths.
 # Sublinear's backward search (m >= 16) reads O(nm) in the worst case, so
@@ -248,3 +248,23 @@ def test_counter_equals_counted_simulation(corpus, build, search, counted):
         occ, stats = search(a, t)
         assert (positions(occ), stats.transitions_taken) == counted(a, t), \
             (p.values[:8], len(p), len(t))
+
+
+def test_strong_links_keep_every_state(corpus):
+    # mp_search's walk follows skip where a plain walk follows fail; on the
+    # corpus and shaped texts it must hold the plain walk's state after
+    # every symbol, so only its count of failure steps may fall
+    cases = [(p, t) for p, t, _ in corpus]
+    rng = random.Random(67)
+    for m in (2, 5, 8, 16, 64):
+        for p in chain_shapes(m) + [two_track_zigzag(m), converging_zigzag(m)]:
+            for t in shaped_texts(2000, rng) + [converging_zigzag(2000)]:
+                cases.append((rep_table(p), t))
+    fewer = 0
+    for p, t in cases:
+        a = build_mp(p)
+        back = a.pattern.back
+        assert list(mp_states(back, a.skip, t)) == list(mp_states(back, a.fail, t)), \
+            (p.values[:8], len(p), len(t))
+        fewer += a.skip != a.fail
+    assert fewer  # some patterns have a strong link that is not their failure link

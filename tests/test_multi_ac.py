@@ -13,7 +13,8 @@ from opmatch.core import (EmptyInput, Occurrence, naive_search,
 from opmatch.mp_automaton import build_mp, mp_search
 from opmatch.multi_ac import ac_search, build_ac, make_pattern_set
 
-from conftest import counted_ac, random_distinct, shaped_patterns, shaped_texts
+from conftest import (ac_strong_link, counted_ac, random_distinct, shaped_patterns,
+                      shaped_texts)
 
 
 def per_pattern_oracle(ps, t):
@@ -77,6 +78,11 @@ class TestNormalizeSet:
         for seqs in ([], [[1, 2], []]):
             with pytest.raises(EmptyInput):
                 make_pattern_set(seqs)
+
+    def test_build_of_no_patterns_raises_empty_input(self):
+        # a root without a child would miss every symbol of a search forever
+        with pytest.raises(EmptyInput, match="at least one pattern"):
+            build_ac(())
 
 
 class TestBuildAc:
@@ -260,6 +266,34 @@ class TestAcSearch:
         t = random_permutation(500, 77)
         occ, _ = ac_search(auto, t)
         assert occ == per_pattern_oracle(auto.patterns, t)
+
+
+def test_skip_links_by_definition():
+    # on random sets and nested prefixes with a scaled copy, every node's
+    # skip is the strong link of the subset rule, and every node the skip
+    # passes on the failure chain has no child key the node lacks, so it
+    # misses whatever the node misses
+    rng = random.Random(58)
+    sets = [[random_permutation(rng.randint(1, 9), rng.getrandbits(30))
+             for _ in range(rng.randint(1, 12))] for _ in range(60)]
+    for _ in range(30):
+        base = random_permutation(rng.randint(2, 16), rng.getrandbits(30))
+        seqs = [base[:rng.randint(1, len(base))] for _ in range(rng.randint(1, 5))]
+        sets.append(seqs + [base, tuple(5 * v + 3 for v in base)])
+    sets += [shaped_patterns(m) + shaped_patterns(m + 3) for m in (2, 5, 13)]
+    skipped = 0
+    for seqs in sets:
+        auto = build_ac(make_pattern_set(seqs))
+        root = auto.root
+        assert root.skip is root
+        for node in collect_nodes(root)[1:]:
+            assert node.skip is ac_strong_link(node, root), seqs
+            passed = node.fail
+            while passed is not node.skip:
+                assert passed.children.keys() <= node.children.keys(), seqs
+                passed = passed.fail
+                skipped += 1
+    assert skipped  # the sets have nodes whose skip is not their fail
 
 
 def test_ac_counter_equals_counted_simulation():
