@@ -148,7 +148,10 @@ class SearchStats:
     by engine.  mp, the up/down filter's MP runs and ac count every test
     and also every failure step (a step along a strong failure link), the
     step to the border after a match and ac's hop off a node without
-    children, so each symbol costs at least 1 and a failed test 2.
+    children, so each symbol costs at least 1 and a failed test 2.  An ac
+    lookup resolved by an order tree (``multi_ac.AcNode.tree``) counts as
+    one lookup plus the failure steps its leaf records, as the walk it
+    stands for would.
     forward counts interval tests only; its moves need no failure steps.
     Compare forward with the others by tests: for mp they are
     n + failure steps = (transitions_taken + n - matches) / 2.

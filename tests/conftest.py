@@ -239,15 +239,31 @@ def ac_strong_link(node, root):
     return f
 
 
+def ac_step(node, t, i, root):
+    """The child that a lookup of t[i] from node ends at, and its failure steps.
+
+    Finds a node's child by a linear scan of its ``kids`` and, on a miss,
+    steps along the strong failure link derived by ``ac_strong_link``
+    from the trie's ``children`` and ``fail``.  The symbols before t[i]
+    must spell node's string.
+    """
+    c = t[i]
+    steps = 0
+    while True:
+        for d1, d2, child in node.kids:
+            if (d1 is None or t[i - d1] < c) and (d2 is None or c < t[i - d2]):
+                return child, steps
+        node = ac_strong_link(node, root)
+        steps += 1
+
+
 def counted_ac(auto, t):
     """Sorted (position, pattern id) pairs and transition count of an AC search.
 
-    Walks ``auto``'s trie, finding a node's child by a linear scan of its
-    ``kids``, stepping along strong failure links derived by
-    ``ac_strong_link`` from the trie's ``children`` and ``fail``, and
-    collecting outputs along its failure chain.  It counts as it goes: one
-    for every child lookup, one for every failure step, and one for the
-    hop off a node without children after each symbol (the last symbol
+    Walks ``auto``'s trie by ``ac_step`` and collects outputs along the
+    failure chain of every node it reaches.  It counts as it goes: one for
+    every child lookup, one for every failure step, and one for the hop
+    off a node without children after each symbol (the last symbol
     included).  The count that ``ac_search`` derives must equal this one.
     """
     lengths = [len(p) for p in auto.patterns]
@@ -255,19 +271,9 @@ def counted_ac(auto, t):
     node = root
     count = 0
     found = []
-    for i, c in enumerate(t):
-        while True:
-            count += 1  # child lookup
-            nxt = None
-            for d1, d2, child in node.kids:
-                if (d1 is None or t[i - d1] < c) and (d2 is None or c < t[i - d2]):
-                    nxt = child
-                    break
-            if nxt is not None:
-                node = nxt
-                break
-            node = ac_strong_link(node, root)
-            count += 1  # failure step
+    for i in range(len(t)):
+        node, steps = ac_step(node, t, i, root)
+        count += 1 + 2 * steps  # a lookup per node tried, a step per miss
         out = node
         while out is not root:
             found += [(i - lengths[pid] + 2, pid) for pid in out.outputs]

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -13,7 +15,8 @@ from opmatch.core import (EmptyInput, Occurrence, naive_search,
 from opmatch.mp_automaton import build_mp, mp_search
 from opmatch.multi_ac import ac_search, build_ac, make_pattern_set
 
-from conftest import (ac_strong_link, counted_ac, random_distinct, shaped_patterns,
+from conftest import (ac_step, ac_strong_link, block_periodic, counted_ac,
+                      oracle_ranks, plant_copies, random_distinct, shaped_patterns,
                       shaped_texts)
 
 
@@ -46,6 +49,54 @@ def node_string(auto, node):
         if walk is node:
             return p.values[:node.depth]
     raise AssertionError("node lies on no pattern's path")
+
+
+def bench_shaped_dictionary(rng):
+    """Windows of a random text as the benchmark's ``random`` dictionary has
+    them: 36 of m = 5..8, 12 scaled copies of those and 2 of m = 64."""
+    text = random_permutation(2000, rng.getrandbits(30))
+
+    def window(m):
+        at = rng.randrange(len(text) - m + 1)
+        return text[at:at + m]
+
+    bases = [window(rng.randint(5, 8)) for _ in range(36)]
+    copies = [[3 * v - 11 for v in rng.choice(bases)] for _ in range(12)]
+    return bases + copies + [window(64) for _ in range(2)]
+
+
+def stem_dictionary(rng):
+    """Patterns on one stem of 7..12 symbols: some leave it at depths 1..6,
+    the rest follow it whole and branch after it, past depth 6."""
+    size = rng.randint(7, 12)
+    stem = [4 * v for v in random_permutation(size, rng.getrandbits(30))]
+    shallow = []
+    for k in rng.sample(range(1, 7), rng.randint(2, 4)):
+        # on the other side of the stem's own next symbol: another child
+        head = stem[:k]
+        shallow.append(head + [min(head) - 2 if stem[k] > max(head) else max(head) + 2])
+    odd = range(-4 * size - 3, 4 * size + 8, 4)
+    deep = [stem + [4 * g + 2] + rng.sample(odd, rng.randint(0, 2))
+            for g in rng.sample(range(-1, size + 1), rng.randint(2, 5))]
+    return shallow + deep
+
+
+def tree_parts(tree):
+    """The cut distances and the leaves of an order tree, below before above."""
+    if len(tree) == 2:
+        return [], [tree]
+    distance, below, above = tree
+    d_below, l_below = tree_parts(below)
+    d_above, l_above = tree_parts(above)
+    return d_below + [distance] + d_above, l_below + l_above
+
+
+def walk_tree(tree, t, i):
+    """The leaf an order tree gives for t[i]."""
+    while len(tree) == 3:
+        distance, below, above = tree
+        tree = below if t[i] < t[i - distance] else above
+    return tree
 
 
 def assert_same_build(a_mp, a_ac):
@@ -319,3 +370,91 @@ def test_ac_counter_equals_counted_simulation():
         for t in shaped_texts(rng.randint(20, 300), rng) + [(), tuple(longest)]:
             occ, stats = ac_search(auto, t)
             assert (occ, stats.transitions_taken) == counted_ac(auto, t), (seqs, t)
+    # stems that branch at depths 1..6, where a lookup walks an order tree,
+    # and past depth 6, where it binary-searches the kids; between them the
+    # stem's nodes test one kid.  Random texts with planted copies of the
+    # long patterns, monotone, zig-zag and block-periodic texts (one with
+    # the stem's own shape as its block) move walks deep and back by skip
+    deep_matches = 0
+    for _ in range(12):
+        seqs = stem_dictionary(rng)
+        auto = build_ac(make_pattern_set(seqs))
+        branching = [node for node in collect_nodes(auto.root) if len(node.kids) > 1]
+        assert {node.tree is None for node in branching} == {False, True}, seqs
+        n = rng.randint(60, 300)
+        deep = [p for p in seqs if len(p) > 7]
+        texts = [plant_copies(rng, rng.choice(deep),
+                              random_permutation(n, rng.getrandbits(30)))
+                 for _ in range(2)]
+        texts += shaped_patterns(n) + [
+            block_periodic(n, random_permutation(5, rng.getrandbits(30))),
+            block_periodic(n, oracle_ranks(deep[0]))]
+        for t in texts:
+            occ, stats = ac_search(auto, t)
+            assert (occ, stats.transitions_taken) == counted_ac(auto, t), (seqs, t)
+            deep_matches += sum(len(seqs[o.pattern_id]) > 7 for o in occ)
+    assert deep_matches  # walks reached the branching past depth 6
+
+
+def test_order_trees_by_definition():
+    # every leaf of every order tree is the step of the linear-kid walk
+    # along strong links from the tree's node, for every order class of
+    # the node's window: the window is a pattern's prefix times 2, and 2v - 1
+    # and 2v + 1 stand for the classes beside each of its values v.  Cuts
+    # lie inside the window and no two adjacent leaves are equal
+    rng = random.Random(59)
+    sets = [[random_permutation(rng.randint(1, 12), rng.getrandbits(30))
+             for _ in range(rng.randint(2, 40))] for _ in range(60)]
+    for _ in range(30):
+        base = random_permutation(rng.randint(2, 16), rng.getrandbits(30))
+        seqs = [base[:rng.randint(1, len(base))] for _ in range(rng.randint(1, 5))]
+        sets.append(seqs + [base, tuple(5 * v + 3 for v in base)])
+    sets += [shaped_patterns(m) + shaped_patterns(m + 3) for m in (2, 5, 7, 13)]
+    sets += [bench_shaped_dictionary(rng) for _ in range(4)]
+    trees = steps = 0
+    for seqs in sets:
+        auto = build_ac(make_pattern_set(seqs))
+        for node in collect_nodes(auto.root):
+            if node.tree is None:
+                continue
+            trees += 1
+            depth = node.depth
+            window = [2 * v for v in node_string(auto, node)]
+            for c in sorted({v + e for v in window for e in (-1, 1)}):
+                t = window + [c]
+                leaf = walk_tree(node.tree, t, depth)
+                assert leaf == ac_step(node, t, depth, auto.root), (seqs, window, c)
+                steps += leaf[1]
+            distances, leaves = tree_parts(node.tree)
+            assert all(1 <= d <= depth for d in distances), seqs
+            assert len(leaves) <= depth + 1
+            assert all(a != b for a, b in zip(leaves, leaves[1:])), seqs
+    assert trees and steps  # leaves with failure steps were checked
+
+
+def test_trees_sit_only_at_shallow_branching_nodes():
+    # a node has an order tree exactly when it has two or more kids and
+    # lies at depth 1..6; a one-pattern set has none, so its search runs
+    # the one-kid test only, and a trie has at most d! nodes at depth d,
+    # so even 10,000 patterns have at most 1! + ... + 6! = 873 trees
+    rng = random.Random(60)
+    sets = [[random_permutation(rng.randint(1, 12), rng.getrandbits(30))
+             for _ in range(rng.randint(2, 60))] for _ in range(30)]
+    sets += [stem_dictionary(rng) for _ in range(10)]
+    sets += [bench_shaped_dictionary(rng) for _ in range(2)]
+    sets += [[p] for m in (1, 2, 8, 64, 300) for p in shaped_patterns(m)]
+    sets += [[random_permutation(m, rng.getrandbits(30))] for m in (1, 3, 8, 64, 1024)]
+    for seqs in sets:
+        auto = build_ac(make_pattern_set(seqs))
+        for node in collect_nodes(auto.root):
+            want = len(node.kids) >= 2 and 1 <= node.depth <= 6
+            assert (node.tree is not None) == want, (seqs, node.depth)
+            if len(seqs) == 1:
+                assert node.tree is None
+    seqs = [random_permutation(rng.randint(5, 40), rng.getrandbits(30))
+            for _ in range(10000)]
+    nodes = collect_nodes(build_ac(make_pattern_set(seqs)).root)
+    per_depth = Counter(node.depth for node in nodes if node.tree is not None)
+    assert all(count <= factorial(d) for d, count in per_depth.items())
+    assert max(per_depth) == 6 and sum(per_depth.values()) <= 873
+    assert any(len(node.kids) >= 2 and node.tree is None for node in nodes)
