@@ -11,6 +11,8 @@ identical sequences on every platform.
 from __future__ import annotations
 
 import random
+from itertools import repeat
+from operator import add
 
 from .core import (SearchStats, _occurrences, check_fits, naive_search,
                    rep_table)
@@ -26,7 +28,11 @@ def random_permutation(n: int, seed: int) -> tuple:
     """Uniform permutation of 1..n, deterministic for (n, seed).
 
     A negative seed raises ValueError: ``random.Random`` seeds an int by its
-    absolute value, so -s would repeat the permutation of s.
+    absolute value, so -s would repeat the permutation of s.  The shuffled
+    ints still lie in memory in value order, so a scan in text order would
+    jump across memory; adding 0 to each makes fresh ints in text order
+    (above 256, where CPython does not share small ints), with the same
+    values.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -34,7 +40,7 @@ def random_permutation(n: int, seed: int) -> tuple:
         raise ValueError(f"seed must be >= 0, got {seed}")
     a = list(range(1, n + 1))
     random.Random(seed).shuffle(a)
-    return tuple(a)
+    return tuple(map(add, a, repeat(0)))
 
 
 def _naive(pattern, text, make=_occurrences):

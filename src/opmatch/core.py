@@ -15,11 +15,14 @@ the 0-based end index of each match while it scans and hands these ends,
 in runs ``(ends, m, pattern_id)``, to a maker once the scan ends, and only
 the makers here turn an end into a 1-based start.  Each run's ends are in
 scan order, and every maker here gives the matches by position, then
-pattern id, so one run needs no sort and several are sorted once.  An
-engine's optional ``make`` argument names its maker.  The default of
-every engine, ``_occurrences``, makes the ``Occurrence`` list at C speed
-with the cyclic garbage collector paused, so no Python code runs per
-match and no collection scans the new objects.  The CLI passes
+pattern id, so one run needs no sort and several are sorted once.
+``_occurrences`` takes several runs in pattern-id order and sorts the
+list stably by position alone: one id never matches twice at one
+position, so ties are only between ids and keep the order the runs came
+in.  An engine's optional ``make`` argument names its maker.  The
+default of every engine, ``_occurrences``, makes the ``Occurrence`` list
+at C speed with the cyclic garbage collector paused, so no Python code
+runs per match and no collection scans the new objects.  The CLI passes
 ``_start_lines`` (``opmatch search``, one run) or ``_start_id_lines``
 (``opmatch multisearch``), which turn the same runs into output lines
 without making an ``Occurrence``.
@@ -33,8 +36,8 @@ from __future__ import annotations
 import gc
 import threading
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import add, index, mul
+from itertools import chain, repeat, starmap
+from operator import add, index, itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
@@ -79,17 +82,26 @@ def _occurrences(runs: Iterable[tuple]) -> list:
 
     A run ``(ends, m, pattern_id)`` holds the 0-based end indexes of the
     matches of one length-m pattern, in order; the match ending at i0
-    starts at the 1-based position i0 - m + 2.  One run comes back as its
-    ends come; several are sorted once, after the list is made.
+    starts at the 1-based position i0 - m + 2.  One id may come in several
+    runs (``ac_search`` reports an id from every trie node where one of its
+    matches ends), but each match end is reached at one node, so one id
+    never has two matches at one position.  The runs are taken in id order
+    and the list is then sorted stably by position alone: ties at a
+    position are only between ids, and the stable sort keeps them in the
+    order their runs came in.  One run comes back as its ends come.  The
+    sort compares exact int keys, not the ``Occurrence`` tuple subclass,
+    which ``list.sort`` would compare item by item through tuple rich
+    comparison.
     ``tuple.__new__`` fills each instance directly, skipping the Python
-    ``Occurrence.__new__``.  ``Occurrence`` is a tuple subclass, which the
-    cyclic garbage collector never untracks, so making 1e5 of them would
-    trigger collections that scan them all; the process-wide collector is
-    therefore paused while the list is made.  The new objects hold only
-    ints, so they cannot form cycles and no collection is missed.  Calls
-    in concurrent threads share one pause: the first to begin saves the
-    collector's state and turns it off, and the last to end restores it,
-    also when ``runs`` raises.
+    ``Occurrence.__new__``; ``starmap`` passes each ``zip`` tuple as the
+    argument tuple, so no tuple is made per match for the call.
+    ``Occurrence`` is a tuple subclass, which the cyclic garbage collector
+    never untracks, so making 1e5 of them would trigger collections that
+    scan them all; the process-wide collector is therefore paused while
+    the list is made.  The new objects hold only ints, so they cannot form
+    cycles and no collection is missed.  Calls in concurrent threads share
+    one pause: the first to begin saves the collector's state and turns it
+    off, and the last to end restores it, also when ``runs`` raises.
     """
     global _gc_depth, _gc_was_enabled
     with _gc_lock:
@@ -98,16 +110,16 @@ def _occurrences(runs: Iterable[tuple]) -> list:
             gc.disable()
         _gc_depth += 1
     try:
-        runs = list(runs)
-        out = list(map(tuple.__new__, repeat(Occurrence), chain.from_iterable(
-            zip(map(add, ends, repeat(2 - m)), repeat(pid)) for ends, m, pid in runs)))
+        runs = sorted(runs, key=itemgetter(2))
+        out = list(starmap(tuple.__new__, zip(repeat(Occurrence), chain.from_iterable(
+            zip(map(add, ends, repeat(2 - m)), repeat(pid)) for ends, m, pid in runs))))
     finally:
         with _gc_lock:
             _gc_depth -= 1
             if _gc_depth == 0 and _gc_was_enabled:
                 gc.enable()
     if len(runs) > 1:
-        out.sort()
+        out.sort(key=itemgetter(0))
     return out
 
 
@@ -130,6 +142,10 @@ def _start_id_lines(runs: Iterable[tuple]) -> Iterator[str]:
     matches by start and then by id; ``divmod`` gives the start and the
     1-based id back.
     The keys are made and sorted at once, each line only when it is read.
+    It keeps one int key per match, where ``_occurrences`` sorts by
+    position alone: each line is formatted from the start and the id as
+    ints, which one ``divmod`` of the key gives back, and the keys already
+    sort on the exact-int fast path.
     """
     runs = list(runs)
     r = 2 + max((pid for _, _, pid in runs), default=0)

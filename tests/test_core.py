@@ -19,6 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import opmatch
+from opmatch import core
 from opmatch.core import (DuplicateValue, EmptyInput, Occurrence, Pattern,
                           SearchStats, _occurrences, naive_search,
                           rank_normalize, rep_table, validate_seq)
@@ -218,6 +219,46 @@ class TestOccurrences:
         assert occ == [(3, 0), (6, 0), (7, 1), (7, 2)]
         assert _occurrences(iter([(iter([5]), 2, 0)])) == [Occurrence(5, 0)]
         assert _occurrences([]) == []
+
+    def test_merge_order_by_definition(self):
+        # random run sets: ids 0-9 out of order, one id split over several
+        # runs whose positions interleave, several ids ending a match at one
+        # position, empty runs, and runs and ends given as iterators
+        rng = random.Random(60)
+        for trial in range(400):
+            used = {pid: set() for pid in range(10)}
+            runs = []
+            for _ in range(rng.randint(1, 40)):
+                pid = rng.randrange(10)
+                m = rng.randint(1, 6)
+                free = sorted(set(range(1, 50)) - used[pid])
+                starts = rng.sample(free, min(len(free), rng.randint(0, 8)))
+                used[pid].update(starts)
+                runs.append((sorted(s + m - 2 for s in starts), m, pid))
+            want = sorted((e - m + 2, pid) for ends, m, pid in runs for e in ends)
+            given_runs = [(iter(ends) if rng.random() < 0.3 else ends, m, pid)
+                          for ends, m, pid in runs]
+            occ = _occurrences(iter(given_runs) if trial % 2 else given_runs)
+            assert occ == want
+            assert all(type(o) is Occurrence for o in occ)
+
+    def test_merge_compares_no_occurrences(self, monkeypatch):
+        # the merge sorts int positions, never the Occurrence tuples
+        calls = []
+
+        class CountedOccurrence(tuple):
+            def __lt__(self, other):
+                calls.append(1)
+                return tuple.__lt__(self, other)
+
+        monkeypatch.setattr(core, "Occurrence", CountedOccurrence)
+        # position 3 matched under ids 4, 1, 0 and 2; id 4 in two runs
+        runs = [([3, 5, 9], 2, 4), ([3], 2, 1), ([3, 5], 2, 0),
+                ([2, 5, 8], 3, 4), ([], 2, 2), ([2, 6], 1, 2)]
+        occ = _occurrences(runs)
+        assert occ == sorted((e - m + 2, pid) for ends, m, pid in runs for e in ends)
+        assert all(type(o) is CountedOccurrence for o in occ)
+        assert calls == []
 
     def test_every_engine_makes_occurrences_by_default(self):
         for engine in (naive_search, mp_search, forward_search,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import factorial
 
 import pytest
@@ -458,3 +458,44 @@ def test_trees_sit_only_at_shallow_branching_nodes():
     assert all(count <= factorial(d) for d, count in per_depth.items())
     assert max(per_depth) == 6 and sum(per_depth.values()) <= 873
     assert any(len(node.kids) >= 2 and node.tree is None for node in nodes)
+
+
+def test_periodic_shaped_dictionary_through_the_scan():
+    # the benchmark's periodic dictionary: ascending patterns of m = 5, 16
+    # and 64 with a scaled copy of the first, zig-zag ones of m = 5, 8 and
+    # 33 with a scaled copy, in shuffled id order.  On the ascending text
+    # every start matches each ascending pattern, on the zig-zag text
+    # every other start each zig-zag one; a short pattern's id comes from
+    # a dozen or more hit nodes, and four ids share every such position
+    rng = random.Random(61)
+
+    def rising(count):
+        return list(accumulate(rng.randint(1, 9) for _ in range(count)))
+
+    def zigzag(count):
+        lows = rising((count + 1) // 2)
+        highs = [lows[-1] + v for v in rising(count // 2)]
+        out = [0] * count
+        out[0::2], out[1::2] = lows, highs
+        return out
+
+    def scaled(p):
+        k, d = rng.randint(2, 1000), rng.randint(-10**6, 10**6)
+        return [k * v + d for v in p]
+
+    entries = [("inc", rising(m)) for m in (5, 16, 64)]
+    entries += [("zz", zigzag(m)) for m in (5, 8, 33)]
+    entries += [("inc", scaled(entries[0][1])), ("zz", scaled(entries[3][1]))]
+    rng.shuffle(entries)
+    ps = make_pattern_set([p for _, p in entries])
+    auto = build_ac(ps)
+    n = 2000
+    for shape, t, step in (("inc", rising(n), 1), ("zz", zigzag(n), 2)):
+        occ, _ = ac_search(auto, t)
+        want = sorted((s, pid) for pid, (kind, p) in enumerate(entries) if kind == shape
+                      for s in range(1, n - len(p) + 2, step))
+        assert occ == want == per_pattern_oracle(ps, t)
+        assert all(type(o) is Occurrence for o in occ)
+        runs, _ = ac_search(auto, t, list)
+        assert max(Counter(pid for _, _, pid in runs).values()) >= 12
+        assert max(Counter(o.position for o in occ).values()) == 4
