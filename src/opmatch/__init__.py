@@ -7,21 +7,46 @@ failure-link automaton, a fully expanded interval-transition automaton
 and an average-case sublinear backward-window engine.  A fifth searches
 many patterns at once.  All searches report instrumentation counters
 alongside their occurrence lists.
+
+Each exported name resolves on first use (PEP 562): ``import opmatch``
+loads no engine module, and a name's home module is imported when the
+name is first read.  The engine modules resolve as attributes the same
+way, so ``opmatch.sublinear.search_or_fallback`` works after a plain
+``import opmatch``.
 """
 
-from .core import (DuplicateValue, EmptyInput, InputError, Occurrence,
-                   Pattern, PatternLongerThanText, SearchStats,
-                   naive_search, rank_normalize, rep_table, validate_seq)
-from .mp_automaton import MpAutomaton, build_mp, mp_search
-from .forward_automaton import ForwardAutomaton, build_forward, forward_search
-from .multi_ac import AcAutomaton, ac_search, build_ac, make_pattern_set
-from .sublinear import build_factor_tree, choose_b, sublinear_search
+import importlib
 
-__all__ = [
-    "AcAutomaton", "DuplicateValue", "EmptyInput", "ForwardAutomaton",
-    "InputError", "MpAutomaton", "Occurrence", "Pattern",
-    "PatternLongerThanText", "SearchStats", "ac_search", "build_ac",
-    "build_factor_tree", "build_forward", "build_mp", "choose_b",
-    "forward_search", "make_pattern_set", "mp_search", "naive_search",
-    "rank_normalize", "rep_table", "sublinear_search", "validate_seq",
-]
+# every exported name and the module it lives in
+_HOMES = {
+    "DuplicateValue": "core", "EmptyInput": "core", "InputError": "core",
+    "Occurrence": "core", "Pattern": "core", "PatternLongerThanText": "core",
+    "SearchStats": "core", "naive_search": "core", "rank_normalize": "core",
+    "rep_table": "core", "validate_seq": "core",
+    "MpAutomaton": "mp_automaton", "build_mp": "mp_automaton",
+    "mp_search": "mp_automaton",
+    "ForwardAutomaton": "forward_automaton",
+    "build_forward": "forward_automaton", "forward_search": "forward_automaton",
+    "AcAutomaton": "multi_ac", "ac_search": "multi_ac", "build_ac": "multi_ac",
+    "make_pattern_set": "multi_ac",
+    "build_factor_tree": "sublinear", "choose_b": "sublinear",
+    "sublinear_search": "sublinear",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    # a home module not imported yet: callers read, say,
+    # ``opmatch.sublinear.search_or_fallback`` after a plain ``import opmatch``
+    if name in _HOMES.values():
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

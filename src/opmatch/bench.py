@@ -1,11 +1,12 @@
 """The engine table and seeded random permutations.
 
 ``ENGINES`` gives every engine one signature; ``opmatch search`` and
-``opmatch bench`` dispatch through it.  ``random_permutation`` is
-``random.Random(seed).shuffle`` of 1..n: CPython's shuffle is a
-Fisher-Yates pass over its Mersenne Twister, drawing each index with
-``getrandbits`` and rejection sampling, so identical (n, seed) give
-identical sequences on every platform.
+``opmatch bench`` dispatch through it.  An entry imports its engine's
+module when it is called, so a command loads only the engine it runs.
+``random_permutation`` is ``random.Random(seed).shuffle`` of 1..n:
+CPython's shuffle is a Fisher-Yates pass over its Mersenne Twister,
+drawing each index with ``getrandbits`` and rejection sampling, so
+identical (n, seed) give identical sequences on every platform.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from operator import add
 
 from .core import (SearchStats, _occurrences, check_fits, naive_search,
                    rep_table)
-from .forward_automaton import build_forward, forward_search
-from .mp_automaton import build_mp, mp_search
-from .multi_ac import ac_search, build_ac
-from .sublinear import sublinear_search
 
 PRNG_NOTE = "mt19937(random.Random.getrandbits)+fisher-yates+rejection"
 
@@ -48,27 +45,41 @@ def _naive(pattern, text, make=_occurrences):
     return naive_search(pattern, text, stats, make), stats
 
 
+def _mp(pattern, text, make=_occurrences):
+    from . import mp_automaton as mp
+    return mp.mp_search(mp.build_mp(pattern), text, make)
+
+
+def _forward(pattern, text, make=_occurrences):
+    from . import forward_automaton as fw, mp_automaton as mp
+    return fw.forward_search(fw.build_forward(mp.build_mp(pattern)), text, make)
+
+
+def _sublinear(pattern, text, make=_occurrences):
+    from . import sublinear
+    return sublinear.sublinear_search(pattern, text, make)
+
+
 def _ac(pattern, text, make=_occurrences):
+    from . import multi_ac as ac
     # ac_search alone accepts a text shorter than its patterns; validate the
     # pattern first so a bad one raises the same error as in the other engines.
     pattern = rep_table(pattern)
     check_fits(len(pattern), len(text))
-    return ac_search(build_ac((pattern,)), text, make)
+    return ac.ac_search(ac.build_ac((pattern,)), text, make)
 
 
 # Every engine as (pattern, text[, make]) -> (occurrences, stats), building
 # what it needs from the pattern; make turns the engine's match runs into
-# its result (see ``core``; ``_occurrences`` by default).  The bodies look
-# the engine functions up by name at call time, so wrappers installed on
-# the module attributes see them.
+# its result (see ``core``; ``_occurrences`` by default).  Each entry
+# imports its engine's module when called and reads the engine functions
+# from the module's attributes then, so wrappers installed on those
+# attributes see them, and a process loads only the engines it runs.
 ENGINES = {
     "naive": _naive,
-    "mp": lambda pattern, text, make=_occurrences: mp_search(
-        build_mp(pattern), text, make),
-    "forward": lambda pattern, text, make=_occurrences: forward_search(
-        build_forward(build_mp(pattern)), text, make),
-    "sublinear": lambda pattern, text, make=_occurrences: sublinear_search(
-        pattern, text, make),
+    "mp": _mp,
+    "forward": _forward,
+    "sublinear": _sublinear,
     "ac": _ac,
 }
 

@@ -1,7 +1,8 @@
 """Command line surface: gen, search, multisearch, bench.
 
 Exit codes: 0 success, 2 I/O failure, 64 usage error, 65 malformed data.
-All positions printed are 1-based.
+All positions printed are 1-based.  A command imports the engine module
+it runs when it runs, so no command loads the others.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from typing import Iterable, Optional, Sequence
 from . import bench as bench_mod
 from .core import (InputError, SearchStats, _start_id_lines, _start_lines,
                    check_fits, rep_table, validate_seq)
-from .multi_ac import ac_search, build_ac, make_pattern_set
-from .sublinear import fallback_for
 
 EX_OK = 0
 EX_IOERR = 2
@@ -188,9 +187,11 @@ def cmd_search(args) -> int:
     except InputError as exc:
         raise InputError(f"{args.pattern}: {exc} of {args.text}") from None
     lines, stats = bench_mod.ENGINES[args.algo](pattern, text, _start_lines)
-    if args.algo == "sublinear" and (ran := fallback_for(len(pattern))):
-        print("sublinear: pattern too short for backward-window search; "
-              f"falling back to {ran}", file=sys.stderr)
+    if args.algo == "sublinear":
+        from .sublinear import fallback_for
+        if ran := fallback_for(len(pattern)):
+            print("sublinear: pattern too short for backward-window search; "
+                  f"falling back to {ran}", file=sys.stderr)
     _write_lines(lines, sys.stdout)
     if args.stats:
         _print_stats(stats, sys.stdout)
@@ -198,6 +199,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_multisearch(args) -> int:
+    from .multi_ac import ac_search, build_ac, make_pattern_set
     patterns = make_pattern_set(_read_pattern_lines(args.patterns))
     text = _read_text_values(args.text)
     lines, stats = ac_search(build_ac(patterns), text, _start_id_lines)

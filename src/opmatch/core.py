@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import gc
 import threading
-from dataclasses import dataclass
 from itertools import chain, repeat, starmap
 from operator import add, index, itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -145,17 +144,18 @@ def _start_id_lines(runs: Iterable[tuple]) -> Iterator[str]:
     It keeps one int key per match, where ``_occurrences`` sorts by
     position alone: each line is formatted from the start and the id as
     ints, which one ``divmod`` of the key gives back, and the keys already
-    sort on the exact-int fast path.
+    sort on the exact-int fast path.  Each id's line end (a tab, the id
+    and a line break) is made once, so a line formats only its start.
     """
     runs = list(runs)
     r = 2 + max((pid for _, _, pid in runs), default=0)
     keys = sorted(chain.from_iterable(
         map(add, map(mul, ends, repeat(r)), repeat((2 - m) * r + pid + 1))
         for ends, m, pid in runs))
-    return (f"{s}\t{k}\n" for s, k in map(divmod, keys, repeat(r)))
+    suffix = [f"\t{k}\n" for k in range(r)]
+    return (f"{s}{suffix[k]}" for s, k in map(divmod, keys, repeat(r)))
 
 
-@dataclass
 class SearchStats:
     """Instrumentation counters accumulated during one search.
 
@@ -180,16 +180,32 @@ class SearchStats:
     filter counts the symbols its MP runs read, at most n; the C-level
     up/down encoding of the text reads every symbol once more and is not
     counted.
-    All counters only ever increase while a search runs.
+    All counters only ever increase while a search runs.  The stats are
+    mutable, so that ``naive_search`` can add into a caller's; they compare
+    by value and are not hashable.
     """
 
-    symbols_read: int = 0
-    transitions_taken: int = 0
-    verifications: int = 0
+    __slots__ = ("symbols_read", "transitions_taken", "verifications")
+    __match_args__ = __slots__
+    __hash__ = None
+
+    def __init__(self, symbols_read: int = 0, transitions_taken: int = 0,
+                 verifications: int = 0):
+        self.symbols_read = symbols_read
+        self.transitions_taken = transitions_taken
+        self.verifications = verifications
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"SearchStats({fields})"
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(NamedTuple):
     """A validated pattern: its values and their rep pairs.
 
     Engines only compare ``values`` with each other, never with a constant,
@@ -202,7 +218,10 @@ class Pattern:
     window by one symbol keeps it order-isomorphic, and every engine reads
     the text through it: symbol t[i] is tested against t[i-d1] and
     t[i-d2], whatever the window's start.  Immutable and safe to share
-    between concurrent searches.
+    between concurrent searches.  A NamedTuple of its two fields, but its
+    length is the pattern's, m, so ``_make`` and ``_replace``, which check
+    the length against the field count, do not apply: ``rep_table`` makes
+    every Pattern.
     """
 
     values: tuple

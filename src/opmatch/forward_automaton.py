@@ -40,15 +40,13 @@ tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import Pattern, SearchStats, _occurrences, check_fits
 from .mp_automaton import MpAutomaton
 
 
-@dataclass(frozen=True)
-class ForwardAutomaton:
+class ForwardAutomaton(NamedTuple):
     """Interval-transition automaton over states 0..m.
 
     The forward label of state x is ``pattern.back[x]``; ``fail`` holds the
@@ -64,7 +62,7 @@ class ForwardAutomaton:
     pattern: Pattern
     fail: tuple
     drop: tuple
-    build_ops: int = field(repr=False)
+    build_ops: int
 
     def moves(self, x: int) -> Iterator[tuple]:
         """State x's backward moves ``(low, high, target)`` in test order.

@@ -20,15 +20,13 @@ tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (Pattern, PatternLike, SearchStats, _occurrences, check_fits,
                    rep_table)
 
 
-@dataclass(frozen=True)
-class MpAutomaton:
+class MpAutomaton(NamedTuple):
     """Failure-link representation of the forward search automaton.
 
     ``fail[j]`` (for j in 1..m, index 0 unused) is the length of the
@@ -43,8 +41,8 @@ class MpAutomaton:
 
     pattern: Pattern
     fail: tuple
-    skip: tuple = field(repr=False)
-    build_ops: int = field(repr=False)
+    skip: tuple
+    build_ops: int
 
 
 def build_mp(p: PatternLike) -> MpAutomaton:

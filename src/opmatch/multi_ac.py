@@ -42,8 +42,7 @@ dictionary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (EmptyInput, PatternLike, SearchStats, _occurrences,
                    rep_table)
@@ -96,8 +95,7 @@ class AcNode:
         self.hit = None
 
 
-@dataclass(frozen=True)
-class AcAutomaton:
+class AcAutomaton(NamedTuple):
     """Immutable multi-pattern automaton; concurrent searches are safe.
 
     ``hit_outputs[k]`` is the ``all_outputs`` of the node whose ``hit`` is k.

@@ -7,11 +7,26 @@ stay independent of the code paths they certify.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from bisect import bisect, insort
 from itertools import permutations
+from pathlib import Path
 
 from opmatch.bench import random_permutation
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(code, cwd=None):
+    """Run code in a new interpreter with this checkout's src first on
+    PYTHONPATH; a failed run raises CalledProcessError."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                   stdout=subprocess.DEVNULL, check=True, timeout=60)
 
 
 def oracle_ranks(seq):

@@ -16,7 +16,7 @@ from opmatch.cli import (EX_DATA, EX_IOERR, EX_OK, EX_USAGE, OUTPUT_BLOCK,
                          _read_text_values, _read_tokens, build_parser, main)
 from opmatch.core import InputError, validate_seq
 
-from conftest import oracle_positions
+from conftest import fresh_python, oracle_positions
 
 
 def run(capsys, *argv):
@@ -396,6 +396,57 @@ def test_commands_call_the_traced_engine_functions(tmp_path, capsys, monkeypatch
         code, out, _ = run(capsys, *argv)
         assert code == EX_OK and out.count("\n") >= 20, argv
         assert counts == {name: int(name == engine) for name in counts}, argv
+
+
+def modules_held(tmp_path, code):
+    """The modules a fresh interpreter holds after running code."""
+    listing = tmp_path / "modules.txt"
+    fresh_python(f"{code}\nimport sys\n"
+                 f"open({str(listing)!r}, 'w').write(' '.join(sys.modules))\n", tmp_path)
+    return set(listing.read_text().split())
+
+
+# the engine modules each ENGINES key runs
+ENGINE_MODULES = {
+    "naive": set(),
+    "mp": {"mp_automaton"},
+    "forward": {"forward_automaton", "mp_automaton"},
+    "sublinear": {"sublinear", "mp_automaton"},
+    "ac": {"multi_ac"},
+}
+
+
+def test_each_command_loads_only_the_engine_it_runs(tmp_path):
+    # by module set, not by time: importing the package loads no engine,
+    # and a command adds to the CLI's own modules only the engine it runs.
+    # Only what code adds to a bare interpreter counts, so a site hook that
+    # imports a module does not change the sets.
+    bare = modules_held(tmp_path, "pass")
+
+    def added(code):
+        return modules_held(tmp_path, code) - bare
+
+    def package_modules(names):
+        return {name.split(".", 1)[1] for name in names if name.startswith("opmatch.")}
+
+    names = added("import opmatch")
+    assert "opmatch" in names and package_modules(names) == set()
+    assert not names & {"dataclasses", "inspect"}
+    cli_modules = {"core", "bench", "cli"}
+    names = added("import opmatch.cli")
+    assert package_modules(names) == cli_modules and "dataclasses" not in names
+    assert set(ENGINE_MODULES) == set(ENGINES)
+    # m = 20: sublinear uses its factor index, so it runs no other engine
+    p = write(tmp_path / "p.txt", " ".join(map(str, range(1, 21))) + "\n")
+    pats = write(tmp_path / "pats.txt", "1 2\n2 1\n")
+    t = write(tmp_path / "t.txt", " ".join(map(str, range(1, 41))) + "\n")
+    cases = [(["search", "--algo", algo, p, t], wanted)
+             for algo, wanted in ENGINE_MODULES.items()]
+    cases.append((["multisearch", pats, t], {"multi_ac"}))
+    for argv, wanted in cases:
+        names = added(f"from opmatch.cli import main\nassert main({argv!r}) == 0")
+        assert package_modules(names) == cli_modules | wanted, argv
+        assert "dataclasses" not in names, argv
 
 
 class TestBench:

@@ -4,7 +4,6 @@ package's public names."""
 from __future__ import annotations
 
 import ast
-import dataclasses
 import gc
 import importlib
 import inspect
@@ -28,9 +27,10 @@ from opmatch.mp_automaton import mp_search
 from opmatch.multi_ac import ac_search
 from opmatch.sublinear import sublinear_search
 
-from conftest import (oi_border_table, oracle_border_table, oracle_oi,
-                      oracle_positions, oracle_ranks, oracle_rep_pairs,
-                      pairs_by_insertion, rank_patterns, random_distinct)
+from conftest import (fresh_python, oi_border_table, oracle_border_table,
+                      oracle_oi, oracle_positions, oracle_ranks,
+                      oracle_rep_pairs, pairs_by_insertion, rank_patterns,
+                      random_distinct)
 
 distinct_lists = st.lists(st.integers(-1000, 1000), min_size=1, max_size=40,
                           unique=True)
@@ -395,14 +395,57 @@ def test_public_names_resolve_and_removed_names_are_gone():
     for name in REMOVED_NAMES:
         assert name not in opmatch.__all__
         assert not any(name in ns for ns in namespaces), name
-    # vars() does not list dataclass fields without defaults
-    assert [f.name for f in dataclasses.fields(Pattern)] == ["values", "back"]
-    assert [f.name for f in dataclasses.fields(opmatch.MpAutomaton)] == [
+    assert list(Pattern._fields) == ["values", "back"]
+    assert list(opmatch.MpAutomaton._fields) == [
         "pattern", "fail", "skip", "build_ops"]
-    assert [f.name for f in dataclasses.fields(opmatch.ForwardAutomaton)] == [
+    assert list(opmatch.ForwardAutomaton._fields) == [
         "pattern", "fail", "drop", "build_ops"]
-    assert [f.name for f in dataclasses.fields(opmatch.AcAutomaton)] == [
+    assert list(opmatch.AcAutomaton._fields) == [
         "root", "patterns", "node_count", "build_ops", "hit_outputs"]
+
+
+def test_exports_resolve_on_first_use_to_their_home_objects():
+    for name in opmatch.__all__:
+        obj = getattr(opmatch, name)
+        home = importlib.import_module(obj.__module__)
+        assert home.__name__.startswith("opmatch.") and getattr(home, name) is obj, name
+    namespace: dict = {}
+    exec("from opmatch import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(opmatch.__all__)
+    assert set(opmatch.__all__) <= set(dir(opmatch))
+    with pytest.raises(AttributeError):
+        opmatch.no_such_name
+    # after a plain import no engine module is loaded, yet each resolves as
+    # an attribute, as README's opmatch.sublinear.search_or_fallback needs
+    code = ("import opmatch, sys\n"
+            "assert 'opmatch.sublinear' not in sys.modules\n"
+            "assert callable(opmatch.sublinear.search_or_fallback)\n"
+            "for name in ('core', 'mp_automaton', 'forward_automaton', 'multi_ac'):\n"
+            "    assert getattr(opmatch, name) is sys.modules['opmatch.' + name]\n")
+    fresh_python(code)
+
+
+def test_types_keep_their_behaviour():
+    p = rep_table([3, 1, 2])
+    mp = opmatch.build_mp(p)
+    automata = (p, mp, opmatch.build_forward(mp), opmatch.build_ac((p,)))
+    for obj in automata:
+        for field in type(obj)._fields:
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+    assert len(p) == 3 and len(rep_table(range(17))) == 17
+    assert p == Pattern((3, 1, 2), ((None, None), (None, 1), (1, 2)))
+    stats = SearchStats()
+    assert (stats.symbols_read, stats.transitions_taken, stats.verifications) == (0, 0, 0)
+    naive_search([2, 1], (1, 3, 2, 5, 4), stats)
+    reads = stats.symbols_read
+    naive_search([2, 1], (1, 3, 2, 5, 4), stats)  # adds into the same stats
+    assert reads > 0 and stats == SearchStats(symbols_read=2 * reads)
+    assert stats != SearchStats(2 * reads, 0, 1) and stats != (2 * reads, 0, 0)
+    assert repr(SearchStats(5, verifications=2)) == (
+        "SearchStats(symbols_read=5, transitions_taken=0, verifications=2)")
+    with pytest.raises(TypeError):
+        hash(stats)
 
 
 def test_readme_names_no_removed_name():
