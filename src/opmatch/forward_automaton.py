@@ -1,4 +1,4 @@
-"""Fully expanded search automaton, stored as failure links plus one drop.
+"""Fully expanded search automaton, stored as failure links, drops and skips.
 
 Where the failure-link automaton may re-test one text symbol several times,
 this automaton resolves every (state, symbol-order-class) pair to a single
@@ -36,6 +36,16 @@ of ``Pattern.back``, and are resolved against the text while searching,
 so moves never mention concrete values.  Testing backward moves in
 increasing jump length amortizes the search to at most 2n transition
 tests.
+
+Once x's forward test fails, the states its walk tests next depend on x
+alone, so the build stores the walk as a link, as ``build_mp`` stores
+mp's strong failure links: ``skip[x]`` is the chain state tested next.  It
+is fail[x] when x drops nothing, and fail[x]'s own link when x drops
+fail[x]+1, the target of fail[x]'s forward test, since x's walk is then
+fail[x]'s.  A state that carries its drop past fail[x] gets the escape
+code m+1+x instead, and the search walks its moves with the pending drop
+(``_finish_walk``).  Escapes are rare: 4 of the 34,952 states 1..m-1 of
+the benchmark's random patterns.
 """
 
 from __future__ import annotations
@@ -53,15 +63,19 @@ class ForwardAutomaton(NamedTuple):
     failure links of the MP automaton and ``drop[x]`` the target of the
     one inherited move that is dead at x, or None.  Both have m+1 entries
     and hold the whole automaton; ``moves(x)`` expands a state's backward
-    moves from them.  build_forward fills both up front, so the automaton
-    is immutable and concurrent searches are safe.  ``build_ops`` counts
-    the chain steps and tiling steps of the build's dead-entry checks; it
-    never exceeds 3m.
+    moves from them.  ``skip[x]`` (m+1 entries) is the state whose test
+    follows x's failed forward test, the source of ``moves(x)``'s first
+    move, or the escape code m+1+x when x's walk carries its drop past
+    fail[x]; the search follows it.  build_forward fills all three up
+    front, so the automaton is immutable and concurrent searches are
+    safe.  ``build_ops`` counts the chain steps and tiling steps of the
+    build's dead-entry checks; it never exceeds 3m.
     """
 
     pattern: Pattern
     fail: tuple
     drop: tuple
+    skip: tuple
     build_ops: int
 
     def moves(self, x: int) -> Iterator[tuple]:
@@ -110,13 +124,19 @@ def build_forward(a: MpAutomaton) -> ForwardAutomaton:
     walk from q down to fail[x+1]-1 takes at most fail[x] - fail[x+1] + 1
     steps, less than m over all states, and a tiling walk at most one step
     per label, so ``build_ops`` stays below 3m.
+
+    ``skip`` starts as a copy of ``fail`` and changes only where a drop is
+    set: to fail[x]'s own link when the drop is fail[x]+1, else to the
+    escape code m+1+x.
     """
     pat = a.pattern
     back = pat.back
     fail = a.fail
+    m = len(pat)
     drop = [None] * len(fail)
+    skip = list(fail)
     ops = 0
-    for x in range(1, len(pat)):
+    for x in range(1, m):
         q = fail[x]
         d1, d2 = back[x]
         if (d1 is None or d1 <= q) and (d2 is None or d2 <= q):
@@ -138,8 +158,9 @@ def build_forward(a: MpAutomaton) -> ForwardAutomaton:
                 ops += 1
                 if end == high:
                     drop[x] = shadowed
+                    skip[x] = skip[q] if shadowed == q + 1 else m + 1 + x
                     break
-    return ForwardAutomaton(pat, fail, tuple(drop), ops)
+    return ForwardAutomaton(pat, fail, tuple(drop), tuple(skip), ops)
 
 
 def forward_search(f: ForwardAutomaton, t: Sequence[int], make=_occurrences):
@@ -147,53 +168,76 @@ def forward_search(f: ForwardAutomaton, t: Sequence[int], make=_occurrences):
 
     Each symbol first tries the forward transition, then the moves of the
     current state in chain (increasing jump) order; the first that
-    accepts consumes the symbol.  The loop walks ``moves(x)`` inline: the
-    chain state whose move a passed state dropped is kept in ``skip`` (-1
-    for none), and a set is made only when a second is pending.  On
-    reaching state m the match is recorded and the state moves to fail[m]
-    before the next symbol, which costs no transition test.
-    transitions_taken counts every interval test and never exceeds 2n:
-    every symbol takes one forward test, counted up front as n, and the
-    loop counts the backward tests.  As in ``mp_search``, the loop notes
-    0-based match ends and ``make`` makes the result after the scan.
+    accepts consumes the symbol.  The loop is ``mp_search``'s: a failed
+    test at state x steps to ``f.skip[x]``, the chain state whose test
+    comes next, and tests the symbol again.  An escape code (above m)
+    ends the walk at once, since ``back`` is padded with labels that
+    accept everything, and ``_finish_walk`` walks the moves of the state
+    it names with their pending drops.  On reaching state m the match is
+    recorded and the state moves to fail[m] before the next symbol, which
+    costs no transition test.  transitions_taken counts every interval
+    test and never exceeds 2n: every symbol takes one forward test,
+    counted up front as n, and the loop counts the backward tests, the
+    steps along ``skip`` less those to an escape code plus the tests of
+    each finished walk.  As in ``mp_search``, the loop notes 0-based match
+    ends and ``make`` makes the result after the scan.
     """
     m = len(f.pattern)
     n = len(t)
     check_fits(m, n)
-    back = f.pattern.back
-    fail = f.fail
-    drop = f.drop
-    fail_m = fail[m]
+    back = f.pattern.back + ((None, None),) * (m + 1)  # escape codes pass
+    skip = f.skip
+    fail_m = f.fail[m]
     x = 0
-    trans = n
+    fails = 0
     ends = []
     for i0, c in enumerate(t):
-        d1, d2 = back[x]
-        if (d1 is None or t[i0 - d1] < c) and (d2 is None or c < t[i0 - d2]):
-            x += 1
+        while True:  # state 0 extends on every symbol
+            d1, d2 = back[x]
+            if (d1 is None or t[i0 - d1] < c) and (d2 is None or c < t[i0 - d2]):
+                break
+            x = skip[x]
+            fails += 1
+        x += 1
+        if x >= m:
             if x == m:
                 ends.append(i0)
                 x = fail_m
-            continue
-        skip = -1
-        more = None
-        while x:
-            if drop[x] is not None:
-                if skip < 0:
-                    skip = drop[x] - 1
-                elif more is None:
-                    more = {drop[x] - 1}
-                else:
-                    more.add(drop[x] - 1)
-            x = fail[x]
-            if x == skip:
-                skip = -1
-            elif more is None or x not in more:
-                trans += 1
-                d1, d2 = back[x]
-                if (d1 is None or t[i0 - d1] < c) and (d2 is None or c < t[i0 - d2]):
-                    x += 1
-                    break
-        else:  # pragma: no cover - hulls cover every non-forward class
-            raise AssertionError("no transition accepted a distinct symbol")
-    return make([(ends, m, 0)]), SearchStats(symbols_read=n, transitions_taken=trans)
+            else:  # the step to the escape code made no test
+                x, tests = _finish_walk(f, x - m - 2, t, i0, c)
+                fails += tests - 1
+    return make([(ends, m, 0)]), SearchStats(symbols_read=n, transitions_taken=n + fails)
+
+
+def _finish_walk(f: ForwardAutomaton, x: int, t: Sequence[int], i0: int, c: int):
+    """The state t[i0] = c reaches from state x once x's forward test failed.
+
+    Walks ``moves(x)`` inline and returns the state with the number of
+    tests made.  The chain state whose move a passed state dropped is kept
+    in ``dead`` (-1 for none), and a set is made only when a second is
+    pending.
+    """
+    back = f.pattern.back
+    fail = f.fail
+    drop = f.drop
+    tests = 0
+    dead = -1
+    more = None
+    while x:
+        if drop[x] is not None:
+            if dead < 0:
+                dead = drop[x] - 1
+            elif more is None:
+                more = {drop[x] - 1}
+            else:
+                more.add(drop[x] - 1)
+        x = fail[x]
+        if x == dead:
+            dead = -1
+        elif more is None or x not in more:
+            tests += 1
+            d1, d2 = back[x]
+            if (d1 is None or t[i0 - d1] < c) and (d2 is None or c < t[i0 - d2]):
+                return x + 1, tests
+    else:  # pragma: no cover - hulls cover every non-forward class
+        raise AssertionError("no transition accepted a distinct symbol")

@@ -90,7 +90,7 @@ class AcNode:
         self.after = self
         self.fail = None
         self.skip = None
-        self.outputs: list = []
+        self.outputs: tuple = ()
         self.all_outputs: tuple = ()
         self.hit = None
 
@@ -148,7 +148,7 @@ def build_ac(patterns: tuple) -> AcAutomaton:
                 nodes.append(child)
             node = child
             path.append(node)
-        node.outputs.append(pid)
+        node.outputs += (pid,)
         readers.append([path, p.values, root])
     for path, values, _ in readers:  # a node's patterns order its prefix alike
         for node in path:
@@ -178,7 +178,7 @@ def build_ac(patterns: tuple) -> AcAutomaton:
                 v.fail = f
                 v.skip = (f.skip if f is not root
                           and f.children.keys() <= v.children.keys() else f)
-                v.all_outputs = tuple(v.outputs) + f.all_outputs
+                v.all_outputs = v.outputs + f.all_outputs
                 if not v.children:
                     v.after = f
             r[2] = v.fail  # one read per node: patterns through v share it

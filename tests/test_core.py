@@ -399,7 +399,7 @@ def test_public_names_resolve_and_removed_names_are_gone():
     assert list(opmatch.MpAutomaton._fields) == [
         "pattern", "fail", "skip", "build_ops"]
     assert list(opmatch.ForwardAutomaton._fields) == [
-        "pattern", "fail", "drop", "build_ops"]
+        "pattern", "fail", "drop", "skip", "build_ops"]
     assert list(opmatch.AcAutomaton._fields) == [
         "root", "patterns", "node_count", "build_ops", "hit_outputs"]
 

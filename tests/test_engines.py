@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from opmatch import forward_automaton
 from opmatch.bench import ENGINES, random_permutation
 from opmatch.core import (DuplicateValue, EmptyInput, InputError, Occurrence,
                           PatternLongerThanText, naive_search, rep_table)
@@ -225,12 +226,13 @@ def test_non_integer_pattern_raises_type_error(entry, pattern):
     (build_mp, mp_search, counted_mp),
     (lambda p: build_forward(build_mp(p)), forward_search, counted_forward),
 ], ids=["mp", "forward"])
-def test_counter_equals_counted_simulation(corpus, build, search, counted):
+def test_counter_equals_counted_simulation(corpus, monkeypatch, build, search, counted):
     # mp_search counts only failure steps and derives the rest, and
-    # forward_search walks its moves inline; on the corpus and long
-    # monotone and zig-zag texts (where most tests fail) each must give the
-    # count of a simulation that counts every test and step, forward's
-    # stepping through the moves that moves(x) expands
+    # forward_search follows its skip links and finishes escaped walks
+    # inline; on the corpus and long monotone and zig-zag texts (where most
+    # tests fail) each must give the count of a simulation that counts
+    # every test and step, forward's stepping through the moves that
+    # moves(x) expands
     cases = [(p, t) for p, t, _ in corpus]
     rng = random.Random(65)
     for m in (1, 2, 5, 16, 64):
@@ -239,15 +241,24 @@ def test_counter_equals_counted_simulation(corpus, build, search, counted):
                 cases.append((rep_table(p), t))
     # in these patterns a walk can reach a state that drops a target while
     # it still holds an earlier state's drop (44 of the 45,360 patterns with
-    # m = 7 or 8 can): only such walks make forward_search's set
-    for p in ((2, 1, 4, 3, 7, 5, 6), (6, 7, 4, 5, 1, 3, 2)):
+    # m = 7 or 8 can): only such walks make _finish_walk's set.  In the
+    # last, two drops are pending at once, and a random text drives the
+    # search through escape codes
+    for p in ((2, 1, 4, 3, 7, 5, 6), (6, 7, 4, 5, 1, 3, 2),
+              (10, 20, 0, 30, 40, 60, 70, 50, 81, 90, 130, 120)):
         for t in shaped_texts(2000, rng):
             cases.append((rep_table(p), t))
+    escapes = []
+    finish = forward_automaton._finish_walk
+    monkeypatch.setattr(forward_automaton, "_finish_walk",
+                        lambda f, x, *args: escapes.append(x) or finish(f, x, *args))
     for p, t in cases:
         a = build(p)
         occ, stats = search(a, t)
         assert (positions(occ), stats.transitions_taken) == counted(a, t), \
             (p.values[:8], len(p), len(t))
+    if search is forward_search:
+        assert escapes
 
 
 def test_strong_links_keep_every_state(corpus):

@@ -155,6 +155,30 @@ class TestBuildForward:
                 assert_matches_brute(pat, build_forward(build_mp(pat)),
                                      exact_targets=True)
 
+    def test_skip_is_the_first_test_of_each_walk(self):
+        # skip[x] is the chain state whose test follows x's failed forward
+        # test, the source of the first move moves(x) yields; an escape
+        # code m+1+z stands for the walk of a state z that carries its drop
+        # past fail[z], and x's moves are then z's
+        inputs = [p for m in range(1, 9) for p in rank_patterns(m)]
+        for m in (16, 64, 1024):
+            inputs += chain_shapes(m) + [two_track_zigzag(m), converging_zigzag(m)]
+        escapes = 0
+        for vals in inputs:
+            m = len(vals)
+            f = build_forward(build_mp(vals))
+            assert len(f.skip) == m + 1
+            for x in range(1, m):
+                s = f.skip[x]
+                if s <= m:
+                    assert next(f.moves(x))[2] == s + 1, (vals[:10], x)
+                else:
+                    escapes += 1
+                    z = s - m - 1
+                    assert f.drop[z] not in (None, f.fail[z] + 1), (vals[:10], x)
+                    assert list(f.moves(x)) == list(f.moves(z)), (vals[:10], x)
+        assert escapes
+
     def test_build_ops_linear(self):
         # the two-track zig-zag expands to about m*m/8 transitions (8.4
         # million at m = 8192, so transition_count() is not called here),
