@@ -114,7 +114,8 @@ def _read_text_values(path: str) -> list:
             while chunk := fh.read(READ_CHUNK):
                 buf = carry + chunk
                 cut = _cut(buf)
-                carry = buf[cut:]
+                # a comment runs to the next line break: carry only its '#'
+                carry = "#" if buf.startswith("#", cut) else buf[cut:]
                 _parse_into(path, buf[:cut], values, seen)
             _parse_into(path, carry, values, seen)
     except ValueError:  # UnicodeDecodeError, int() or _decimal_body

@@ -101,20 +101,33 @@ def mp_search(a: MpAutomaton, t: Sequence[int], make=_occurrences):
     symbol is re-tested.  A full match restarts from the border of the
     whole pattern, so overlapping occurrences are reported.
     transitions_taken counts every forward test and every failure step
-    (a step along ``skip``); it never exceeds 3n.  Only failure steps are
-    counted in the loop: each one follows a failed test, every symbol ends
-    with one passing test (state 0 always extends) and every match takes
-    one step to the border, so
+    (a step along ``skip``); it never exceeds 3n.  ``_walk`` counts only
+    failure steps: each one follows a failed test, every symbol ends with
+    one passing test (state 0 always extends) and every match takes one
+    step to the border, so
     transitions_taken = n + 2 * failure steps + matches.
-    The loop notes each match's 0-based end index, and ``make`` (the
-    core's ``_occurrences`` by default) makes the result from the run
-    ``(ends, m, 0)`` after the scan.
+    ``make`` (the core's ``_occurrences`` by default) makes the result
+    from the run ``(ends, m, 0)`` after the scan.
     """
     m = len(a.pattern)
     n = len(t)
     check_fits(m, n)
-    back = a.pattern.back
-    skip = a.skip
+    ends, fails = _walk(a.pattern.back, a.skip, m, t)
+    trans = n + 2 * fails + len(ends)
+    return make([(ends, m, 0)]), SearchStats(symbols_read=n, transitions_taken=trans)
+
+
+def _walk(back, skip, m, t, finish=None):
+    """The 0-based match ends of the walk over t, and its failure steps.
+
+    At state x, t[i] is tested against ``back[x]``: a pass moves to x+1, a
+    failure steps to ``skip[x]`` and tests t[i] again.  At m a match is
+    noted and the state moves to ``skip[m]``.  A ``skip`` entry m+1+z is an
+    escape code (forward search only), whose label in ``back`` passes:
+    ``finish(z, t, i, t[i])`` gives the state and the tests it made, and
+    the step to the code, which made no test, stands for the first.
+    """
+    skip_m = skip[m]
     x = 0
     fails = 0
     ends = []
@@ -126,8 +139,11 @@ def mp_search(a: MpAutomaton, t: Sequence[int], make=_occurrences):
             x = skip[x]
             fails += 1
         x += 1
-        if x == m:
-            ends.append(i0)
-            x = skip[m]
-    trans = n + 2 * fails + len(ends)
-    return make([(ends, m, 0)]), SearchStats(symbols_read=n, transitions_taken=trans)
+        if x >= m:
+            if x == m:
+                ends.append(i0)
+                x = skip_m
+            else:  # the step to the escape code made no test
+                x, tests = finish(x - m - 2, t, i0, c)
+                fails += tests - 1
+    return ends, fails

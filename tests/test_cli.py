@@ -696,6 +696,20 @@ def test_reader_names_the_absolute_position_of_a_bad_byte(tmp_path, monkeypatch)
                                "in position 8: ordinal not in range(128)")
 
 
+def test_reader_carries_only_the_hash_of_a_long_comment(tmp_path, monkeypatch):
+    # a comment runs to the next line break, so a piece cut at its '#'
+    # carries only the '#' and no piece outgrows a carried token plus a chunk
+    path = tmp_path / "t.txt"
+    path.write_text("1 2 #" + "c" * 10_000 + "\n3 4 # x\n5", encoding="ascii")
+    monkeypatch.setattr(cli, "READ_CHUNK", 16)
+    sizes = []
+    cut = cli._cut
+    monkeypatch.setattr(cli, "_cut", lambda buf: sizes.append(len(buf)) or cut(buf))
+    assert (_read_text_values(str(path))
+            == list(cli._read_seq(str(path), validate_seq)) == [1, 2, 3, 4, 5])
+    assert len(sizes) > 600 and max(sizes) < 2 * cli.READ_CHUNK + 1
+
+
 @pytest.mark.parametrize("header, sep", [("# one value per line\n", "\n"), ("", " ")])
 def test_reader_peak_memory_stays_near_its_result(tmp_path, header, sep):
     # 1e5 values of the benchmark's width; the whole-file reader peaked at

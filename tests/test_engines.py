@@ -241,7 +241,7 @@ def test_counter_equals_counted_simulation(corpus, monkeypatch, build, search, c
                 cases.append((rep_table(p), t))
     # in these patterns a walk can reach a state that drops a target while
     # it still holds an earlier state's drop (44 of the 45,360 patterns with
-    # m = 7 or 8 can): only such walks make _finish_walk's set.  In the
+    # m = 7 or 8 can): only such walks hold two drops in _finish_walk.  In the
     # last, two drops are pending at once, and a random text drives the
     # search through escape codes
     for p in ((2, 1, 4, 3, 7, 5, 6), (6, 7, 4, 5, 1, 3, 2),

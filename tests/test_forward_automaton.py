@@ -15,7 +15,7 @@ import random
 
 from opmatch.bench import random_permutation
 from opmatch.core import Occurrence, rep_table
-from opmatch.forward_automaton import build_forward, forward_search
+from opmatch.forward_automaton import _finish_walk, build_forward, forward_search
 from opmatch.mp_automaton import build_mp
 
 from conftest import (chain_shapes, converging_zigzag, oracle_oi, rank_patterns,
@@ -177,6 +177,34 @@ class TestBuildForward:
                     z = s - m - 1
                     assert f.drop[z] not in (None, f.fail[z] + 1), (vals[:10], x)
                     assert list(f.moves(x)) == list(f.moves(z)), (vals[:10], x)
+        assert escapes
+
+    def test_finish_walk_takes_the_first_accepting_move(self):
+        # every escape state of every pattern with m <= 8, and one where two
+        # drops are pending at once: on each non-forward class, the escape
+        # walk reaches the brute target after as many tests as moves(x)
+        # tries up to its first accepting move
+        inputs = [p for m in range(1, 9) for p in rank_patterns(m)]
+        inputs.append((10, 20, 0, 30, 40, 60, 70, 50, 81, 90, 130, 120))
+        escapes = 0
+        for vals in inputs:
+            pat = rep_table(vals)
+            m = len(pat)
+            f = build_forward(build_mp(pat))
+            for x in range(1, m):
+                if f.skip[x] <= m:
+                    continue
+                escapes += 1
+                window = list(pat.values[:x])
+                classes, forward_class = brute_class_targets(pat, x)
+                for r, (alpha, want) in enumerate(classes):
+                    if r == forward_class:
+                        continue
+                    tests = next(k for k, (low, high, _) in enumerate(f.moves(x), 1)
+                                 if (low is None or window[x - low] < alpha)
+                                 and (high is None or alpha < window[x - high]))
+                    assert _finish_walk(f, x, window + [alpha], x, alpha) == \
+                        (want, tests), (vals, x, alpha)
         assert escapes
 
     def test_build_ops_linear(self):
