@@ -5,8 +5,8 @@ order-isomorphic to a contiguous text window: a naive reference scan, a
 failure-link automaton, a fully expanded interval-transition automaton
 (stored in O(m) as the failure links plus one dropped target per state),
 and an average-case sublinear backward-window engine.  A fifth searches
-many patterns at once.  All searches report instrumentation counters
-alongside their occurrence lists.
+many patterns at once.  The engines report instrumentation counters
+alongside their occurrence lists; the naive oracle returns the list alone.
 
 Each exported name resolves on first use (PEP 562): ``import opmatch``
 loads no engine module, and a name's home module is imported when the

@@ -15,8 +15,7 @@ import random
 from itertools import repeat
 from operator import add
 
-from .core import (SearchStats, _occurrences, check_fits, naive_search,
-                   rep_table)
+from .core import _naive, _occurrences, check_fits, rep_table
 
 PRNG_NOTE = "mt19937(random.Random.getrandbits)+fisher-yates+rejection"
 
@@ -38,11 +37,6 @@ def random_permutation(n: int, seed: int) -> tuple:
     a = list(range(1, n + 1))
     random.Random(seed).shuffle(a)
     return tuple(map(add, a, repeat(0)))
-
-
-def _naive(pattern, text, make=_occurrences):
-    stats = SearchStats()
-    return naive_search(pattern, text, stats, make), stats
 
 
 def _mp(pattern, text, make=_occurrences):
@@ -71,10 +65,11 @@ def _ac(pattern, text, make=_occurrences):
 
 # Every engine as (pattern, text[, make]) -> (occurrences, stats), building
 # what it needs from the pattern; make turns the engine's match runs into
-# its result (see ``core``; ``_occurrences`` by default).  Each entry
-# imports its engine's module when called and reads the engine functions
-# from the module's attributes then, so wrappers installed on those
-# attributes see them, and a process loads only the engines it runs.
+# its result (see ``core``; ``_occurrences`` by default).  naive is
+# core's own scan.  Every other entry imports its engine's module when
+# called and reads the engine functions from the module's attributes
+# then, so wrappers installed on those attributes see them, and a process
+# loads only the engines it runs.
 ENGINES = {
     "naive": _naive,
     "mp": _mp,

@@ -1,6 +1,7 @@
 """Command line surface: gen, search, multisearch, bench.
 
-Exit codes: 0 success, 2 I/O failure, 64 usage error, 65 malformed data.
+Exit codes: 0 success, 2 I/O failure (a closed output pipe too, without
+a message), 64 usage error, 65 malformed data.
 All positions printed are 1-based.  A command imports the engine module
 it runs when it runs, so no command loads the others.
 """
@@ -8,6 +9,7 @@ it runs when it runs, so no command loads the others.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 import time
@@ -162,9 +164,17 @@ def _output(path: Optional[str]):
 
 
 def _print_stats(stats: SearchStats, out) -> None:
-    print(f"# stats: symbols_read={stats.symbols_read} "
-          f"transitions_taken={stats.transitions_taken} "
-          f"verifications={stats.verifications}", file=out)
+    fields = " ".join(f"{k}={v}" for k, v in zip(SearchStats._fields, stats))
+    print(f"# stats: {fields}", file=out)
+
+
+def _note_fallback(algo: str, m: int) -> None:
+    """Name on stderr what the sublinear engine runs for m, if not its own search."""
+    if algo == "sublinear":
+        from .sublinear import fallback_for
+        if ran := fallback_for(m):
+            print("sublinear: pattern too short for backward-window search; "
+                  f"falling back to {ran}", file=sys.stderr)
 
 
 def cmd_gen(args) -> int:
@@ -188,11 +198,7 @@ def cmd_search(args) -> int:
     except InputError as exc:
         raise InputError(f"{args.pattern}: {exc} of {args.text}") from None
     lines, stats = bench_mod.ENGINES[args.algo](pattern, text, _start_lines)
-    if args.algo == "sublinear":
-        from .sublinear import fallback_for
-        if ran := fallback_for(len(pattern)):
-            print("sublinear: pattern too short for backward-window search; "
-                  f"falling back to {ran}", file=sys.stderr)
+    _note_fallback(args.algo, len(pattern))
     _write_lines(lines, sys.stdout)
     if args.stats:
         _print_stats(stats, sys.stdout)
@@ -231,6 +237,7 @@ def cmd_bench(args) -> int:
               file=sys.stderr)
         return EX_USAGE
     engine = bench_mod.ENGINES[args.algo]
+    _note_fallback(args.algo, m)  # m is the same in every trial
     with _output(args.out) as sink:
         sink.write(f"# prng={bench_mod.PRNG_NOTE}\n"
                    "algo,m,n,seed,occurrences,symbols_read,transitions,"
@@ -302,10 +309,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse exits 0 for --help, 2 for usage
         return EX_OK if exc.code == 0 else EX_USAGE
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
     except InputError as exc:
         print(f"opmatch: {exc}", file=sys.stderr)
         return EX_DATA
+    except BrokenPipeError:
+        # the reader has gone: say nothing, and point standard output at
+        # the null device so the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_IOERR
     except OSError as exc:
         print(f"opmatch: {exc}", file=sys.stderr)
         return EX_IOERR

@@ -37,7 +37,7 @@ import gc
 import threading
 from itertools import chain, repeat, starmap
 from operator import add, index, itemgetter, mul
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 
 class InputError(ValueError):
@@ -156,8 +156,8 @@ def _start_id_lines(runs: Iterable[tuple]) -> Iterator[str]:
     return (f"{s}{suffix[k]}" for s, k in map(divmod, keys, repeat(r)))
 
 
-class SearchStats:
-    """Instrumentation counters accumulated during one search.
+class SearchStats(NamedTuple):
+    """Instrumentation counters of one search.
 
     symbols_read counts text-symbol inspections and transitions_taken
     automaton transition tests and failure steps, in units that differ
@@ -180,29 +180,13 @@ class SearchStats:
     filter counts the symbols its MP runs read, at most n; the C-level
     up/down encoding of the text reads every symbol once more and is not
     counted.
-    All counters only ever increase while a search runs.  The stats are
-    mutable, so that ``naive_search`` can add into a caller's; they compare
-    by value and are not hashable.
+    Every engine makes its stats once, when its search ends: an immutable
+    value that compares equal to the plain tuple of its three counts.
     """
 
-    __slots__ = ("symbols_read", "transitions_taken", "verifications")
-    __match_args__ = __slots__
-    __hash__ = None
-
-    def __init__(self, symbols_read: int = 0, transitions_taken: int = 0,
-                 verifications: int = 0):
-        self.symbols_read = symbols_read
-        self.transitions_taken = transitions_taken
-        self.verifications = verifications
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
-        return f"SearchStats({fields})"
+    symbols_read: int = 0
+    transitions_taken: int = 0
+    verifications: int = 0
 
 
 class Pattern(NamedTuple):
@@ -339,20 +323,24 @@ def scan_alignments(p: Pattern, t: Sequence[int], first: int, last: int):
     return ends, reads
 
 
-def naive_search(p: PatternLike, t: Sequence[int],
-                 stats: Optional[SearchStats] = None, make=_occurrences):
-    """All occurrences of p in t by direct per-alignment verification.
+def _naive(p: PatternLike, t: Sequence[int], make=_occurrences):
+    """``naive_search`` as an engine: ``(make([(ends, m, 0)]), SearchStats)``.
 
-    This is the oracle the automaton engines are compared against.  The
-    text is assumed validated (pairwise distinct); pass a SearchStats to
-    accumulate the number of symbols inspected.  The result is
-    ``make([(ends, m, 0)])``, the occurrence list by default.
+    ``bench.ENGINES["naive"]``; symbols_read counts the symbols inspected.
     """
     pat = rep_table(p)
     m = len(pat)
     n = len(t)
     check_fits(m, n)
     ends, reads = scan_alignments(pat, t, 1, n - m + 1)
-    if stats is not None:
-        stats.symbols_read += reads
-    return make([(ends, m, 0)])
+    return make([(ends, m, 0)]), SearchStats(symbols_read=reads)
+
+
+def naive_search(p: PatternLike, t: Sequence[int]) -> list:
+    """All occurrences of p in t by direct per-alignment verification.
+
+    This is the oracle the automaton engines are compared against.  The
+    text is assumed validated (pairwise distinct).  ``_naive`` is the same
+    scan with its stats.
+    """
+    return _naive(p, t)[0]

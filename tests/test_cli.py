@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 
@@ -14,9 +16,10 @@ from opmatch import (cli, core, forward_automaton, mp_automaton, multi_ac,
 from opmatch.bench import ENGINES, random_permutation
 from opmatch.cli import (EX_DATA, EX_IOERR, EX_OK, EX_USAGE, OUTPUT_BLOCK,
                          _read_text_values, _read_tokens, build_parser, main)
-from opmatch.core import InputError, validate_seq
+from opmatch.core import InputError, SearchStats, rep_table, validate_seq
+from opmatch.multi_ac import ac_search, build_ac
 
-from conftest import fresh_python, oracle_positions
+from conftest import SRC, fresh_python, oracle_positions
 
 
 def run(capsys, *argv):
@@ -548,6 +551,17 @@ class TestBench:
                 assert [line.rsplit(",", 1)[0] for line in lines[2:]] == [
                     f"{algo},{row}" for row in rows], (algo, argv)
 
+    @pytest.mark.parametrize("m, ran", [
+        ("4", "mp"), ("8", "the up/down filter with mp verification"), ("16", None)])
+    def test_sublinear_fallback_notice(self, capsys, m, ran):
+        # m is the same in every trial, so the notice comes once per command,
+        # on stderr only, so the CSV on stdout keeps its header and rows
+        code, out, err = run(capsys, "bench", "--algo", "sublinear", "--m", m,
+                             "--n", "256", "--trials", "3")
+        assert code == EX_OK and len(out.splitlines()) == 5
+        assert err == ("" if ran is None else "sublinear: pattern too short for "
+                       f"backward-window search; falling back to {ran}\n")
+
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         code, _, _ = run(capsys, "bench", "--algo", "ac", "--m", "4", "--n", "64",
@@ -557,6 +571,57 @@ class TestBench:
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == EX_OK
+
+
+def stats_line(out):
+    """The '# stats:' line's counters as (names, values)."""
+    trailer = out.splitlines()[-1]
+    assert trailer.startswith("# stats: ")
+    names, values = zip(*(tok.split("=") for tok in trailer.split()[2:]))
+    return names, tuple(map(int, values))
+
+
+@pytest.mark.parametrize("algo", list(ENGINES))
+def test_stats_line_reads_the_fields_in_order(tmp_path, capsys, algo):
+    # m = 8: sublinear runs the up/down filter, whose verifications are not 0
+    pattern = (3, 1, 4, 2, 6, 5, 8, 7)
+    text = random_permutation(600, 2)
+    p = write(tmp_path / "p.txt", " ".join(map(str, pattern)))
+    t = write(tmp_path / "t.txt", " ".join(map(str, text)))
+    code, out, _ = run(capsys, "search", "--stats", "--algo", algo, p, t)
+    assert code == EX_OK
+    stats = ENGINES[algo](rep_table(pattern), text)[1]
+    assert stats_line(out) == (SearchStats._fields, stats)
+    if algo == "ac":
+        code, out, _ = run(capsys, "multisearch", "--stats", p, t)
+        want = ac_search(build_ac((rep_table(pattern),)), text)[1]
+        assert code == EX_OK and stats_line(out) == (SearchStats._fields, want)
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "{p}", "{t}"), ("search", "--stats", "--algo", "naive", "{p}", "{t}"),
+    ("gen", "--n", "5"), ("gen", "--n", "100000"), ("multisearch", "{pats}", "{t}"),
+    ("bench", "--algo", "mp", "--m", "4", "--n", "64")],
+    ids=["search", "search-stats", "gen-short", "gen-long", "multisearch", "bench"])
+def test_closed_output_pipe_exits_quietly(tmp_path, argv):
+    # the read end is closed before the command starts, so its first write
+    # fails, whether mid-command or at the final flush of a short output
+    files = {"p": write(tmp_path / "p.txt", "1 2\n"),
+             "t": write(tmp_path / "t.txt", "1 3 2 5 4 6\n"),
+             "pats": write(tmp_path / "pats.txt", "1 2\n2 1\n")}
+    # buffered output, as usual, so a short one is written only at the end
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "opmatch.cli", *(a.format(**files) for a in argv)],
+            stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(w)
+    # no "Broken pipe" message and no "Exception ignored" from the exit flush
+    assert proc.returncode == EX_IOERR and proc.stderr == b"", argv
 
 
 def test_search_and_bench_offer_every_engine():

@@ -11,10 +11,11 @@ import random
 
 import pytest
 
-from opmatch import forward_automaton
+from opmatch import forward_automaton, sublinear
 from opmatch.bench import ENGINES, random_permutation
 from opmatch.core import (DuplicateValue, EmptyInput, InputError, Occurrence,
-                          PatternLongerThanText, naive_search, rep_table)
+                          PatternLongerThanText, SearchStats, naive_search,
+                          rep_table)
 from opmatch.forward_automaton import build_forward, forward_search
 from opmatch.mp_automaton import build_mp, mp_search
 from opmatch.multi_ac import ac_search, build_ac, make_pattern_set
@@ -160,6 +161,19 @@ def test_agrees_with_naive_within_bound(name, corpus):
         # == cannot tell a bare (position, id) tuple from an Occurrence
         assert all(type(o) is Occurrence for o in occ), (name, p.values[:8], m, n)
         assert BOUNDS[name](stats, m, n), (name, p.values[:8], m, n, stats)
+
+
+def test_every_search_returns_immutable_search_stats(corpus):
+    # one protocol: each engine makes its stats as a SearchStats value, never
+    # a subclass or a bare tuple, and nobody can add into it afterwards
+    searches = dict(ENGINES, search_or_fallback=sublinear.search_or_fallback)
+    for name, search in searches.items():
+        for p, t, _ in corpus:
+            stats = search(p, t)[1]
+            assert type(stats) is SearchStats, (name, p.values[:8], len(t))
+        for field in SearchStats._fields:
+            with pytest.raises(AttributeError):
+                setattr(stats, field, 0)
 
 
 def test_occurrences_are_made_without_per_match_calls(monkeypatch):
